@@ -25,12 +25,10 @@ Graph Graph::FromEdgeList(EdgeList edges) {
     g.adj_[static_cast<size_t>(cursor[e.u]++)] = e.v;
     g.adj_[static_cast<size_t>(cursor[e.v]++)] = e.u;
   }
-  // Normalized input is sorted by (u, v), so each u's neighbors > u arrive in
-  // order, but neighbors < u (inserted while scanning their own rows) also
-  // arrive in order; the two runs interleave, so sort each list once.
-  for (VertexId v = 0; v < n; ++v) {
-    std::sort(g.adj_.begin() + g.offsets_[v], g.adj_.begin() + g.offsets_[v + 1]);
-  }
+  // No per-row sort is needed: normalized input is sorted by (u, v) with
+  // u < v, so row x first receives its smaller neighbors u (from edges
+  // (u, x), all of which precede the edges (x, v)) in ascending order, then
+  // its larger neighbors v in ascending order.
   return g;
 }
 

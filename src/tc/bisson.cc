@@ -6,8 +6,7 @@
 #include "obs/trace.h"
 #include "sim/block_cost.h"
 #include "tc/cost_rules.h"
-#include "tc/intersect.h"
-#include "util/checked_math.h"
+#include "tc/cpu_counters.h"
 #include "util/failpoint.h"
 
 namespace gputc {
@@ -17,8 +16,6 @@ StatusOr<TcResult> BissonCounter::TryCount(const DirectedGraph& g,
                                            const ExecContext& ctx) const {
   GPUTC_INJECT_FAULT("tc.bisson");
   Span span = StartSpan(ctx, "tc.bisson");
-  TcResult result;
-  CheckedInt64 triangles(ctx.count_limit);
   const int threads = spec.threads_per_block();
 
   std::vector<BlockCost> blocks;
@@ -56,16 +53,14 @@ StatusOr<TcResult> BissonCounter::TryCount(const DirectedGraph& g,
         work.mem_transactions +=
             probe.mem_transactions * static_cast<double>(du);
         model.AddThreadWork(static_cast<int>(i - group), work);
-
-        triangles.Add(SortedIntersectionSize(g.out_neighbors(u), nbrs));
       }
       model.EndSuperstep();
     }
     blocks.push_back(model.Finish());
   }
 
-  GPUTC_RETURN_IF_ERROR(triangles.ToStatus("Bisson triangle count"));
-  result.triangles = triangles.value();
+  TcResult result;
+  GPUTC_ASSIGN_OR_RETURN(result.triangles, TryCountTrianglesDirected(g, ctx));
   result.kernel = KernelLauncher(spec).Launch(blocks);
   span.SetAttr("triangles", result.triangles);
   span.SetAttr("blocks", static_cast<int64_t>(blocks.size()));

@@ -28,11 +28,14 @@ enum class ReorderUnit { kVertex, kEdge };
 
 /// Interface of the simulated GPU triangle counters.
 ///
-/// Implementations walk the directed graph on the host, computing the exact
-/// triangle count, while charging every primitive operation (searches,
-/// scans, bitmap probes, synchronizations) to the block cost model exactly
-/// as the corresponding CUDA kernel would distribute it over blocks, warps
-/// and threads. The returned KernelStats is the modelled kernel time.
+/// Implementations price a kernel from out-degrees alone: they walk the
+/// directed graph's arcs on the host and charge every primitive operation
+/// (searches, scans, bitmap probes, synchronizations) to the block cost
+/// model exactly as the corresponding CUDA kernel would distribute it over
+/// blocks, warps and threads. The returned KernelStats is the modelled
+/// kernel time. The triangle count is not part of the pricing: after it,
+/// every counter takes the count from the one exact engine,
+/// TryCountTrianglesDirected (tc/cpu_counters.h).
 ///
 /// The input graph must already be preprocessed: oriented by the desired
 /// direction strategy and relabeled by the desired ordering — blocks take

@@ -10,36 +10,36 @@
 
 namespace gputc {
 
-// Exact host-side triangle counters (the CPU families of Section 2.2.1).
-// They are the correctness oracles for every simulated GPU kernel and the
-// serial baselines in the benches.
+// Exact host-side triangle counting. TryCountTrianglesDirected is the one
+// counting engine: every simulated GPU counter prices its kernel from
+// out-degrees and takes its triangle count from it, and the forward
+// counters below are orientation + engine. The node-iterator shares no code
+// with it and is the independent oracle the tests compare against.
 
 /// Node-iterator [Alon et al.]: for every vertex, test all neighbor pairs.
 /// O(sum d(v)^2). Exact.
 int64_t CountTrianglesNodeIterator(const Graph& g);
 
-/// Edge-iterator [Batagelj & Mrvar]: for every edge, intersect the two
-/// endpoint adjacency lists. O(sum over edges of d(u)+d(v)). Exact.
-int64_t CountTrianglesEdgeIterator(const Graph& g);
+/// The exact counting engine: sum over arcs (u, v) of |N+(u) ∩ N+(v)|.
+/// With an acyclic orientation this is the triangle count of the underlying
+/// undirected graph. Vertex-major: marks N+(u) in a byte bitmap, probes
+/// every N+(v) against it, then unmarks. Polls `ctx` every 256 source
+/// vertices; a sum past ctx.count_limit is OutOfRange.
+StatusOr<int64_t> TryCountTrianglesDirected(const DirectedGraph& g,
+                                            const ExecContext& ctx);
 
-/// Forward algorithm [Schank & Wagner]: orient by degree, intersect
-/// out-lists — the standard O(m^(3/2)) counter. Exact.
-int64_t CountTrianglesForward(const Graph& g);
-
-/// Forward algorithm under an execution envelope: polls `ctx` every 256
-/// vertices, injects at fail point "tc.cpu", and counts with checked
-/// accumulation. The executor's last-resort fallback stage.
-StatusOr<int64_t> TryCountTrianglesForward(const Graph& g,
-                                           const ExecContext& ctx);
-
-/// Counts directed wedges closed by an arc on an oriented graph; with an
-/// acyclic orientation this equals the triangle count of the underlying
-/// undirected graph. Exact.
+/// Unconstrained TryCountTrianglesDirected; CHECK-aborts on error.
 int64_t CountTrianglesDirected(const DirectedGraph& g);
 
-/// Multicore merge-based counter in the spirit of Shun & Tangwongsan:
-/// partitions vertices over `num_threads` std::threads. Exact.
-int64_t CountTrianglesParallel(const Graph& g, int num_threads);
+/// Forward algorithm [Schank & Wagner]: orient by degree, then count with
+/// the engine — the standard O(m^(3/2)) counter. Exact.
+int64_t CountTrianglesForward(const Graph& g);
+
+/// Forward algorithm under an execution envelope: injects at fail point
+/// "tc.cpu", then orients and counts with the engine under `ctx`. The
+/// executor's last-resort fallback stage.
+StatusOr<int64_t> TryCountTrianglesForward(const Graph& g,
+                                           const ExecContext& ctx);
 
 }  // namespace gputc
 

@@ -11,13 +11,16 @@
 #include "sim/block_cost.h"
 #include "sim/memory.h"
 #include "tc/cost_rules.h"
-#include "tc/intersect.h"
-#include "util/checked_math.h"
+#include "tc/cpu_counters.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 
 namespace gputc {
 namespace {
+
+/// Bins whose arcs stream at least this many keys (2^bin level) run one
+/// warp per arc; lighter bins run one thread per arc.
+constexpr int64_t kWarpThreshold = 128;
 
 struct Arc {
   VertexId u;
@@ -76,7 +79,7 @@ std::vector<int64_t> FoxCounter::AOrderedEdgeOrder(
     const auto& bin = bins[bin_idx];
     if (bin.empty()) continue;
     const bool warp_per_arc =
-        (int64_t{1} << std::min<size_t>(bin_idx, 62)) >= warp_threshold_;
+        (int64_t{1} << std::min<size_t>(bin_idx, 62)) >= kWarpThreshold;
     const int tasks_per_block =
         warp_per_arc ? spec.warps_per_block : spec.threads_per_block();
     if (bin.size() <= static_cast<size_t>(tasks_per_block)) {
@@ -131,8 +134,6 @@ StatusOr<TcResult> FoxCounter::TryCountWithEdgeOrder(
         " entries but the graph has " + std::to_string(arcs.size()) + " arcs");
   }
   Span span = StartSpan(ctx, "tc.fox");
-  TcResult result;
-  CheckedInt64 triangles(ctx.count_limit);
   const int lanes = spec.warp_size;
 
   // Stable log-radix binning in the caller's order. Arcs are binned by
@@ -164,7 +165,7 @@ StatusOr<TcResult> FoxCounter::TryCountWithEdgeOrder(
     // (every arc in the bin streams ~2^level keys): cooperative warps once
     // a warp's worth of keys amortizes.
     const bool warp_per_arc =
-        (int64_t{1} << std::min<size_t>(bin_idx, 62)) >= warp_threshold_;
+        (int64_t{1} << std::min<size_t>(bin_idx, 62)) >= kWarpThreshold;
     const size_t tasks_per_block =
         warp_per_arc ? static_cast<size_t>(spec.warps_per_block)
                      : static_cast<size_t>(spec.threads_per_block());
@@ -207,15 +208,13 @@ StatusOr<TcResult> FoxCounter::TryCountWithEdgeOrder(
           work += BinarySearchBatch(dv, du, /*shared=*/false, spec);
           model.AddThreadWork(task, work);
         }
-        triangles.Add(SortedIntersectionSize(g.out_neighbors(arc.u),
-                                             g.out_neighbors(arc.v)));
       }
       blocks.push_back(model.Finish());
     }
   }
 
-  GPUTC_RETURN_IF_ERROR(triangles.ToStatus("Fox triangle count"));
-  result.triangles = triangles.value();
+  TcResult result;
+  GPUTC_ASSIGN_OR_RETURN(result.triangles, TryCountTrianglesDirected(g, ctx));
   result.kernel = KernelLauncher(spec).Launch(blocks);
   span.SetAttr("triangles", result.triangles);
   span.SetAttr("blocks", static_cast<int64_t>(blocks.size()));

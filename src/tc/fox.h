@@ -15,16 +15,12 @@ namespace gputc {
 /// Every arc's work is estimated as d~(v) * log2(d~(u)); arcs are stably
 /// partitioned into log-radix bins and each bin is executed with a matching
 /// granularity — one thread per arc for light bins, one warp per arc (lanes
-/// cooperate on the searches) for heavy bins. Blocks take consecutive tasks
-/// within a bin, so the *edge order* determines each block's work set: this
-/// is the algorithm the paper reorders edges (not vertices) for
-/// (Section 6.4, Figure 15).
+/// cooperate on the searches) for bins of 128 or more keys per arc. Blocks
+/// take consecutive tasks within a bin, so the *edge order* determines each
+/// block's work set: this is the algorithm the paper reorders edges (not
+/// vertices) for (Section 6.4, Figure 15).
 class FoxCounter : public SimTriangleCounter {
  public:
-  /// Arcs whose cooperative work estimate is at least this use a warp.
-  explicit FoxCounter(int64_t warp_threshold = 128)
-      : warp_threshold_(warp_threshold) {}
-
   std::string name() const override { return "Fox"; }
 
   /// Counts with arcs in CSR order.
@@ -60,9 +56,6 @@ class FoxCounter : public SimTriangleCounter {
   std::vector<int64_t> AOrderedEdgeOrder(const DirectedGraph& g,
                                          const ResourceModel& model,
                                          const DeviceSpec& spec) const;
-
- private:
-  int64_t warp_threshold_;
 };
 
 }  // namespace gputc

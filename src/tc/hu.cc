@@ -6,9 +6,8 @@
 #include "obs/trace.h"
 #include "sim/block_cost.h"
 #include "tc/cost_rules.h"
-#include "tc/intersect.h"
+#include "tc/cpu_counters.h"
 #include "tc/work_partition.h"
-#include "util/checked_math.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 
@@ -19,14 +18,12 @@ StatusOr<TcResult> HuCounter::TryCount(const DirectedGraph& g,
                                        const ExecContext& ctx) const {
   GPUTC_INJECT_FAULT("tc.hu");
   Span span = StartSpan(ctx, "tc.hu");
-  TcResult result;
-  CheckedInt64 triangles(ctx.count_limit);
   const int threads = spec.threads_per_block();
   const int64_t arcs_per_superstep = threads;
 
   const std::vector<VertexId> sources = ArcSources(g);
   const std::vector<ArcRange> blocks_arcs =
-      VertexBucketArcRanges(g, vertices_per_block(spec));
+      VertexBucketArcRanges(g, threads);
 
   std::vector<BlockCost> blocks;
   blocks.reserve(blocks_arcs.size());
@@ -75,17 +72,14 @@ StatusOr<TcResult> HuCounter::TryCount(const DirectedGraph& g,
         ThreadWork work = SequentialScan(dv, spec);
         work += BinarySearchBatch(dv, du, /*shared=*/true, spec);
         model.AddThreadWork(static_cast<int>(i - step_start), work);
-
-        triangles.Add(
-            SortedIntersectionSize(g.out_neighbors(u), g.out_neighbors(v)));
       }
       model.EndSuperstep();
     }
     blocks.push_back(model.Finish());
   }
 
-  GPUTC_RETURN_IF_ERROR(triangles.ToStatus("Hu triangle count"));
-  result.triangles = triangles.value();
+  TcResult result;
+  GPUTC_ASSIGN_OR_RETURN(result.triangles, TryCountTrianglesDirected(g, ctx));
   result.kernel = KernelLauncher(spec).Launch(blocks);
   span.SetAttr("triangles", result.triangles);
   span.SetAttr("blocks", static_cast<int64_t>(blocks.size()));

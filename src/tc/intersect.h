@@ -9,8 +9,9 @@
 namespace gputc {
 
 /// Size of the intersection of two sorted id spans (merge). Exact; used by
-/// every counter as the host-side ground truth while the simulator charges
-/// the algorithm-specific access pattern.
+/// the applications (k-truss supports, link recommendation), which need one
+/// count per edge or vertex pair. Whole-graph triangle counts come from
+/// TryCountTrianglesDirected (tc/cpu_counters.h).
 inline int64_t SortedIntersectionSize(std::span<const VertexId> a,
                                       std::span<const VertexId> b) {
   int64_t count = 0;

@@ -6,9 +6,8 @@
 #include "obs/trace.h"
 #include "sim/block_cost.h"
 #include "tc/cost_rules.h"
-#include "tc/intersect.h"
+#include "tc/cpu_counters.h"
 #include "tc/work_partition.h"
-#include "util/checked_math.h"
 #include "util/failpoint.h"
 
 namespace gputc {
@@ -18,8 +17,6 @@ StatusOr<TcResult> PolakCounter::TryCount(const DirectedGraph& g,
                                           const ExecContext& ctx) const {
   GPUTC_INJECT_FAULT("tc.polak");
   Span span = StartSpan(ctx, "tc.polak");
-  TcResult result;
-  CheckedInt64 triangles(ctx.count_limit);
   const int threads = spec.threads_per_block();
 
   const std::vector<VertexId> sources = ArcSources(g);
@@ -46,15 +43,12 @@ StatusOr<TcResult> PolakCounter::TryCount(const DirectedGraph& g,
       ThreadWork work = SequentialScan(dv, spec);
       work += BinarySearchBatch(dv, du, /*shared=*/false, spec);
       model.AddThreadWork(static_cast<int>((i - range.begin) % threads), work);
-
-      triangles.Add(
-          SortedIntersectionSize(g.out_neighbors(u), g.out_neighbors(v)));
     }
     blocks.push_back(model.Finish());
   }
 
-  GPUTC_RETURN_IF_ERROR(triangles.ToStatus("Polak triangle count"));
-  result.triangles = triangles.value();
+  TcResult result;
+  GPUTC_ASSIGN_OR_RETURN(result.triangles, TryCountTrianglesDirected(g, ctx));
   result.kernel = KernelLauncher(spec).Launch(blocks);
   span.SetAttr("triangles", result.triangles);
   span.SetAttr("blocks", static_cast<int64_t>(blocks.size()));

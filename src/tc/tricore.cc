@@ -6,9 +6,8 @@
 #include "obs/trace.h"
 #include "sim/block_cost.h"
 #include "tc/cost_rules.h"
-#include "tc/intersect.h"
+#include "tc/cpu_counters.h"
 #include "tc/work_partition.h"
-#include "util/checked_math.h"
 #include "util/failpoint.h"
 
 namespace gputc {
@@ -18,8 +17,6 @@ StatusOr<TcResult> TriCoreCounter::TryCount(const DirectedGraph& g,
                                             const ExecContext& ctx) const {
   GPUTC_INJECT_FAULT("tc.tricore");
   Span span = StartSpan(ctx, "tc.tricore");
-  TcResult result;
-  CheckedInt64 triangles(ctx.count_limit);
   const int lanes = spec.warp_size;
 
   const std::vector<VertexId> sources = ArcSources(g);
@@ -58,8 +55,6 @@ StatusOr<TcResult> TriCoreCounter::TryCount(const DirectedGraph& g,
             model.AddThreadWork(warp * lanes + lane, lane_work);
           }
         }
-        triangles.Add(
-            SortedIntersectionSize(g.out_neighbors(u), g.out_neighbors(v)));
         continue;
       }
       // Keys are streamed from N+(v) in chunks of `lanes`; each active lane
@@ -86,14 +81,12 @@ StatusOr<TcResult> TriCoreCounter::TryCount(const DirectedGraph& g,
           model.AddThreadWork(warp * lanes + lane, lane_work);
         }
       }
-      triangles.Add(
-          SortedIntersectionSize(g.out_neighbors(u), g.out_neighbors(v)));
     }
     blocks.push_back(model.Finish());
   }
 
-  GPUTC_RETURN_IF_ERROR(triangles.ToStatus("TriCore triangle count"));
-  result.triangles = triangles.value();
+  TcResult result;
+  GPUTC_ASSIGN_OR_RETURN(result.triangles, TryCountTrianglesDirected(g, ctx));
   result.kernel = KernelLauncher(spec).Launch(blocks);
   span.SetAttr("triangles", result.triangles);
   span.SetAttr("blocks", static_cast<int64_t>(blocks.size()));

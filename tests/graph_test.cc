@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "graph/generators.h"
 #include "graph/graph.h"
 
@@ -43,6 +46,26 @@ TEST(GraphTest, AdjacencyIsSorted) {
   const auto nbrs = g.neighbors(0);
   ASSERT_EQ(nbrs.size(), 4u);
   EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end()));
+
+  // Shuffled, mixed-orientation input in which vertex 5 has both smaller
+  // and larger neighbors: every row must still come out sorted.
+  EdgeList mixed;
+  mixed.Add(9, 5);
+  mixed.Add(5, 2);
+  mixed.Add(3, 8);
+  mixed.Add(7, 5);
+  mixed.Add(0, 5);
+  mixed.Add(8, 0);
+  mixed.Add(5, 3);
+  mixed.Add(2, 9);
+  const Graph h = Graph::FromEdgeList(std::move(mixed));
+  const auto five = h.neighbors(5);
+  EXPECT_EQ(std::vector<VertexId>(five.begin(), five.end()),
+            (std::vector<VertexId>{0, 2, 3, 7, 9}));
+  for (VertexId v = 0; v < h.num_vertices(); ++v) {
+    const auto row = h.neighbors(v);
+    EXPECT_TRUE(std::is_sorted(row.begin(), row.end())) << "row " << v;
+  }
 }
 
 TEST(GraphTest, HasEdgeOutOfRangeIsFalse) {

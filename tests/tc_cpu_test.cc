@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "graph/datasets.h"
+#include "direction/direction.h"
 #include "graph/generators.h"
 #include "tc/cpu_counters.h"
 
@@ -9,20 +9,17 @@ namespace {
 
 TEST(CpuCountersTest, KnownFixtureCounts) {
   EXPECT_EQ(CountTrianglesNodeIterator(CompleteGraph(5)), 10);
-  EXPECT_EQ(CountTrianglesEdgeIterator(CompleteGraph(5)), 10);
   EXPECT_EQ(CountTrianglesForward(CompleteGraph(5)), 10);
-  EXPECT_EQ(CountTrianglesParallel(CompleteGraph(5), 2), 10);
 
   EXPECT_EQ(CountTrianglesNodeIterator(WheelGraph(8)), 7);
-  EXPECT_EQ(CountTrianglesEdgeIterator(CycleGraph(10)), 0);
+  EXPECT_EQ(CountTrianglesForward(CycleGraph(10)), 0);
 }
 
 TEST(CpuCountersTest, EmptyAndTinyGraphs) {
   const Graph empty = Graph::FromEdgeList(EdgeList{});
   EXPECT_EQ(CountTrianglesNodeIterator(empty), 0);
-  EXPECT_EQ(CountTrianglesEdgeIterator(empty), 0);
   EXPECT_EQ(CountTrianglesForward(empty), 0);
-  EXPECT_EQ(CountTrianglesParallel(PathGraph(2), 4), 0);
+  EXPECT_EQ(CountTrianglesForward(PathGraph(2)), 0);
 }
 
 class CpuAgreementTest : public ::testing::TestWithParam<uint64_t> {};
@@ -34,9 +31,14 @@ TEST_P(CpuAgreementTest, AllCountersAgreeOnRandomGraphs) {
         GeneratePowerLawConfiguration(400, 2.0, 2, 80, seed),
         GenerateRmat(8, 8, seed), GenerateWattsStrogatz(300, 6, 0.2, seed)}) {
     const int64_t expected = CountTrianglesNodeIterator(g);
-    EXPECT_EQ(CountTrianglesEdgeIterator(g), expected);
     EXPECT_EQ(CountTrianglesForward(g), expected);
-    EXPECT_EQ(CountTrianglesParallel(g, 3), expected);
+    // The engine's sum is orientation-invariant for every acyclic scheme.
+    for (DirectionStrategy strategy : AllDirectionStrategies()) {
+      const StatusOr<int64_t> engine =
+          TryCountTrianglesDirected(Orient(g, strategy), ExecContext{});
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      EXPECT_EQ(*engine, expected) << ToString(strategy);
+    }
   }
 }
 
@@ -50,12 +52,22 @@ TEST(CpuCountersTest, DenseSmallWorldHasManyTriangles) {
   EXPECT_GT(CountTrianglesForward(g), 900);
 }
 
-TEST(CpuCountersTest, ParallelMatchesSerialOnDataset) {
-  const Graph g = LoadDataset("email-Eucore");
-  const int64_t serial = CountTrianglesForward(g);
-  EXPECT_GT(serial, 0);
-  EXPECT_EQ(CountTrianglesParallel(g, 4), serial);
-  EXPECT_EQ(CountTrianglesParallel(g, 1), serial);
+TEST(CpuCountersTest, EngineRefusesToPassCountLimit) {
+  ExecContext ctx;
+  ctx.count_limit = 5;
+  const StatusOr<int64_t> count = TryCountTrianglesDirected(
+      Orient(CompleteGraph(5), DirectionStrategy::kDegreeBased), ctx);
+  ASSERT_FALSE(count.ok());
+  EXPECT_EQ(count.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(CpuCountersTest, EngineObservesPreCancelledContext) {
+  ExecContext ctx;
+  ctx.cancel.Cancel("cancelled before counting");
+  const StatusOr<int64_t> count = TryCountTrianglesDirected(
+      Orient(CompleteGraph(5), DirectionStrategy::kDegreeBased), ctx);
+  ASSERT_FALSE(count.ok());
+  EXPECT_EQ(count.status().code(), StatusCode::kCancelled);
 }
 
 }  // namespace

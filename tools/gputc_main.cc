@@ -1192,9 +1192,11 @@ int CmdBatch(const FlagParser& flags) {
           if (wal_policy == StoragePolicy::kStrict) {
             // Fail-stop: this outcome never became durable, so it is not
             // journaled either. Stop admitting, let in-flight work drain.
+            // The drain itself is left to the watcher thread: this hook
+            // runs under the service's journal lock, and RequestDrain
+            // journals the flushed queue, which would self-deadlock here.
             storage_stopped.store(true, std::memory_order_relaxed);
             storage_health.RecordStrictStop(logged.ToString());
-            service.RequestDrain("storage: WAL done append failed");
             return;
           }
           // Degrade: keep serving; this line and every later one carries
@@ -1220,20 +1222,25 @@ int CmdBatch(const FlagParser& flags) {
   // SIGINT/SIGTERM/SIGHUP request a graceful drain (HUP because a batch
   // driven from a terminal should survive losing it no less gracefully than
   // a ^C). The handler only sets a flag; a watcher thread polls it and calls
-  // RequestDrain, which needs locks the handler must not take. With
-  // --isolate the drain also reaps every live worker subprocess.
+  // RequestDrain, which needs locks the handler must not take. The watcher
+  // likewise drains after a strict fail-stop raised inside the report hook.
+  // With --isolate the drain also reaps every live worker subprocess.
   g_batch_signal.store(0, std::memory_order_relaxed);
   auto prev_int = std::signal(SIGINT, BatchSignalHandler);
   auto prev_term = std::signal(SIGTERM, BatchSignalHandler);
   auto prev_hup = std::signal(SIGHUP, BatchSignalHandler);
   std::atomic<bool> watcher_stop{false};
-  std::thread watcher([&service, &watcher_stop] {
+  std::thread watcher([&service, &watcher_stop, &storage_stopped] {
     while (!watcher_stop.load(std::memory_order_acquire)) {
       const int sig = g_batch_signal.load(std::memory_order_relaxed);
       if (sig != 0) {
         service.RequestDrain(sig == SIGINT   ? "SIGINT"
                              : sig == SIGHUP ? "SIGHUP"
                                              : "SIGTERM");
+        return;
+      }
+      if (storage_stopped.load(std::memory_order_relaxed)) {
+        service.RequestDrain("storage: WAL append failed");
         return;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
