@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -78,6 +79,127 @@ TEST(SnapTextTest, FileRoundTrip) {
 
 TEST(SnapTextTest, MissingFileReturnsNullopt) {
   EXPECT_FALSE(LoadSnapText("/nonexistent/path/graph.txt").has_value());
+}
+
+// -- SNAP syntax table --------------------------------------------------------
+//
+// Pins the exact accepted syntax of ReadSnapEdgeList: each token is read the
+// way `istream >> uint64_t` reads it in the C locale, '#'/'%' only mark a
+// comment in column 0, and an error names its line and quotes it. Edges are
+// the raw first-seen-remapped pairs, before any normalization.
+
+struct SnapSyntaxRow {
+  const char* name;
+  std::string input;
+  int error_line;  // 0: parses; otherwise the DataLoss line number.
+  std::vector<Edge> edges;
+  VertexId num_vertices;
+};
+
+std::string ExpectedLineError(int line, const std::string& text) {
+  return "line " + std::to_string(line) + ": expected 'u v' pair, got \"" +
+         text + "\"";
+}
+
+TEST(SnapSyntaxTableTest, EveryRowMatchesItsPinnedOutcome) {
+  using namespace std::string_literals;
+  const std::vector<SnapSyntaxRow> rows = {
+      {"plus_sign", "+3 4\n", 0, {{0, 1}}, 2},
+      {"minus_sign", "-1 2\n", 0, {{0, 1}}, 2},
+      // '-' negates modulo 2^64: -1 and 2^64-1 are the same raw id.
+      {"minus_wraps", "-1 18446744073709551615\n-0 0\n", 0, {{0, 0}, {1, 1}},
+       2},
+      {"u64_max", "18446744073709551615 1\n", 0, {{0, 1}}, 2},
+      {"u64_overflow", "0 1\n18446744073709551616 1\n", 2, {}, 0},
+      {"vt_ff_whitespace", "\v1\f2\n", 0, {{0, 1}}, 2},
+      {"crlf", "# c\r\n1 2\r\n2 3\r\n", 0, {{0, 1}, {1, 2}}, 3},
+      {"crlf_blank_line", "1 2\r\n\r\n3 4\r\n", 2, {}, 0},
+      {"no_final_newline", "1 2\n3 4", 0, {{0, 1}, {2, 3}}, 4},
+      {"blank_and_comments", "\n\n# a\n%b\n\n", 0, {}, 0},
+      {"empty", "", 0, {}, 0},
+      {"space_before_hash", " # x\n", 1, {}, 0},
+      {"trailing_token", "1 2 3\n", 0, {{0, 1}}, 2},
+      {"comma", "1,2\n", 1, {}, 0},
+      {"glued_letters", "12abc 3\n", 1, {}, 0},
+      {"sign_without_digits", "- 1\n", 1, {}, 0},
+      {"missing_endpoint", "0 1\n5\n", 2, {}, 0},
+      {"embedded_nul_between", "1\0 2\n"s, 1, {}, 0},
+      {"embedded_nul_trailing", "1 2\0x\n"s, 0, {{0, 1}}, 2},
+      {"loops_and_duplicates", "7 7\n7 8\n8 7\n", 0, {{0, 0}, {0, 1}, {1, 0}},
+       2},
+  };
+  for (const SnapSyntaxRow& row : rows) {
+    SCOPED_TRACE(row.name);
+    std::istringstream in(row.input);
+    const StatusOr<EdgeList> list = ReadSnapEdgeList(in);
+    if (row.error_line == 0) {
+      ASSERT_TRUE(list.ok()) << list.status().ToString();
+      EXPECT_EQ(list->edges(), row.edges);
+      EXPECT_EQ(list->num_vertices(), row.num_vertices);
+      continue;
+    }
+    ASSERT_FALSE(list.ok());
+    EXPECT_EQ(list.status().code(), StatusCode::kDataLoss);
+    // The quoted text is the whole line without its '\n', CR and NUL kept.
+    std::string line = row.input;
+    for (int i = 1; i < row.error_line; ++i) {
+      line.erase(0, line.find('\n') + 1);
+    }
+    line = line.substr(0, line.find('\n'));
+    EXPECT_EQ(list.status().message(),
+              ExpectedLineError(row.error_line, line));
+  }
+}
+
+TEST(SnapSyntaxTableTest, LineLongerThanAnyReadChunk) {
+  // 300 KB of blanks inside one edge line, then a 300 KB comment line.
+  const std::string input = "1" + std::string(300'000, ' ') + "2\n#" +
+                            std::string(300'000, 'c') + "\n3 4\n";
+  std::istringstream in(input);
+  const StatusOr<EdgeList> list = ReadSnapEdgeList(in);
+  ASSERT_TRUE(list.ok()) << list.status().ToString();
+  EXPECT_EQ(list->edges(), (std::vector<Edge>{{0, 1}, {2, 3}}));
+}
+
+TEST(SnapSyntaxTableTest, LongMalformedLineIsQuotedTruncated) {
+  const std::string bad = "9 x" + std::string(300'000, 'y');
+  std::istringstream in("0 1\n1 2\n" + bad + "\n");
+  const StatusOr<EdgeList> list = ReadSnapEdgeList(in);
+  ASSERT_FALSE(list.ok());
+  EXPECT_EQ(list.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(list.status().message(),
+            ExpectedLineError(3, bad.substr(0, 60) + "..."));
+}
+
+TEST(SnapSyntaxTableTest, LineStraddlingAChunkBoundary) {
+  // A comment pads the stream so that edge line "123456 654321" spans byte
+  // 2^18: every power-of-two chunk size up to 256 KiB splits it. Regular
+  // edge lines follow until the stream is well past two chunks.
+  constexpr size_t kBoundary = size_t{1} << 18;
+  const std::string straddler = "123456 654321\n";
+  std::string input = "#" + std::string(kBoundary - 5 - 2, '-') + "\n";
+  ASSERT_EQ(input.size() + 5, kBoundary);
+  input += straddler;
+  std::vector<Edge> expected = {{0, 1}};
+  VertexId next = 2;
+  while (input.size() < 3 * kBoundary) {
+    input += std::to_string(next) + " " + std::to_string(next + 1) + "\n";
+    expected.push_back({next, next + 1});
+    next += 2;
+  }
+  const int bad_line = 2 + static_cast<int>(expected.size());
+  input += "oops\n";
+  {
+    std::istringstream in(input.substr(0, input.size() - 5));
+    const StatusOr<EdgeList> list = ReadSnapEdgeList(in);
+    ASSERT_TRUE(list.ok()) << list.status().ToString();
+    EXPECT_EQ(list->edges(), expected);
+    EXPECT_EQ(list->num_vertices(), next);
+  }
+  std::istringstream in(input);
+  const StatusOr<EdgeList> list = ReadSnapEdgeList(in);
+  ASSERT_FALSE(list.ok());
+  EXPECT_EQ(list.status().message(), ExpectedLineError(bad_line, "oops"));
 }
 
 TEST(BinaryTest, RoundTripExact) {
