@@ -3,9 +3,10 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/validate.h"
@@ -79,46 +80,144 @@ Status ReadArray(std::istream& in, std::vector<T>& out, size_t count,
   return OkStatus();
 }
 
+/// Bytes per `read` of SNAP text: large enough to amortize the call, small
+/// enough that concurrent loads keep a flat footprint.
+constexpr size_t kSnapChunkBytes = size_t{64} << 10;
+
+/// Reads one token from [p, end) exactly as `istream >> uint64_t` does in
+/// the C locale: skips ' ' and '\t'..'\r', takes an optional '+' or '-' ('-'
+/// negates modulo 2^64), then at least one decimal digit. Fails on a missing
+/// digit or on overflow. On success p points just past the last digit.
+bool ParseU64(const char*& p, const char* end, uint64_t* out) {
+  while (p != end && (*p == ' ' || (*p >= '\t' && *p <= '\r'))) ++p;
+  const bool negative = p != end && *p == '-';
+  if (p != end && (*p == '+' || *p == '-')) ++p;
+  const char* const digits = p;
+  uint64_t value = 0;
+  bool overflow = false;
+  for (; p != end; ++p) {
+    const unsigned digit = static_cast<unsigned char>(*p) - unsigned{'0'};
+    if (digit > 9) break;
+    overflow |= __builtin_mul_overflow(value, 10u, &value);
+    overflow |= __builtin_add_overflow(value, digit, &value);
+  }
+  if (p == digits || overflow) return false;
+  *out = negative ? 0 - value : value;
+  return true;
+}
+
+/// Maps raw SNAP ids to dense ids in first-seen order: linear probing over a
+/// power-of-two table of {raw, id} slots kept at most three quarters full.
+class DenseIdMap {
+ public:
+  DenseIdMap() { Rehash(10); }
+
+  VertexId size() const { return size_; }
+
+  /// Returns the dense id of `raw`, assigning the next one if it is new.
+  VertexId Intern(uint64_t raw) {
+    if (4 * (static_cast<size_t>(size_) + 1) > 3 * slots_.size()) {
+      Rehash(log2_slots_ + 1);
+    }
+    for (size_t i = Home(raw);; i = (i + 1) & (slots_.size() - 1)) {
+      Slot& slot = slots_[i];
+      if (slot.id == kEmpty) {
+        slot = {raw, size_};
+        return size_++;
+      }
+      if (slot.raw == raw) return slot.id;
+    }
+  }
+
+ private:
+  static constexpr VertexId kEmpty = ~VertexId{0};
+  struct Slot {
+    uint64_t raw = 0;
+    VertexId id = kEmpty;
+  };
+
+  /// Fibonacci hashing: the top bits of raw * 2^64/phi.
+  size_t Home(uint64_t raw) const {
+    return static_cast<size_t>((raw * 0x9E3779B97F4A7C15ull) >>
+                               (64 - log2_slots_));
+  }
+
+  void Rehash(int log2_slots) {
+    std::vector<Slot> old =
+        std::exchange(slots_, std::vector<Slot>(size_t{1} << log2_slots));
+    log2_slots_ = log2_slots;
+    for (const Slot& slot : old) {
+      if (slot.id == kEmpty) continue;
+      size_t i = Home(slot.raw);
+      while (slots_[i].id != kEmpty) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  int log2_slots_ = 0;
+  VertexId size_ = 0;
+};
+
 }  // namespace
 
 StatusOr<EdgeList> ReadSnapEdgeList(std::istream& in) {
-  EdgeList list;
-  std::unordered_map<uint64_t, VertexId> remap;
-  auto dense_id = [&remap](uint64_t raw) {
-    const auto [it, inserted] =
-        remap.emplace(raw, static_cast<VertexId>(remap.size()));
-    (void)inserted;
-    return it->second;
-  };
   const GraphDoctor doctor;
-  std::string line;
+  EdgeList list;
+  DenseIdMap ids;
   int64_t line_number = 0;
-  while (std::getline(in, line)) {
+  // Handles one line, [begin, end) without its '\n'.
+  const auto parse_line = [&](const char* begin, const char* end) -> Status {
     ++line_number;
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    std::istringstream ls(line);
+    if (begin == end || *begin == '#' || *begin == '%') return OkStatus();
+    const char* p = begin;
     uint64_t a = 0, b = 0;
-    if (!(ls >> a >> b)) {
+    if (!ParseU64(p, end, &a) || !ParseU64(p, end, &b)) {
       std::ostringstream msg;
       msg << "line " << line_number << ": expected 'u v' pair, got \""
-          << Truncate(line) << "\"";
+          << Truncate(std::string(begin, end)) << "\"";
       return DataLossError(msg.str());
     }
     // Sequence the two lookups explicitly: argument evaluation order is
     // unspecified, and first-seen-order remapping must be deterministic.
-    const VertexId u = dense_id(a);
-    const VertexId v = dense_id(b);
+    const VertexId u = ids.Intern(a);
+    const VertexId v = ids.Intern(b);
     list.Add(u, v);
-    if (remap.size() > doctor.options().max_vertices ||
+    if (ids.size() > doctor.options().max_vertices ||
         list.num_edges() > doctor.options().max_edges) {
       std::ostringstream msg;
       msg << "line " << line_number << ": graph exceeds the ingestion caps ("
-          << remap.size() << " vertices, " << list.num_edges() << " edges)";
+          << ids.size() << " vertices, " << list.num_edges() << " edges)";
       return ResourceExhaustedError(msg.str());
     }
+    return OkStatus();
+  };
+
+  const auto chunk = std::make_unique_for_overwrite<char[]>(kSnapChunkBytes);
+  std::string partial;  // The line cut off by the end of the last chunk.
+  while (in.read(chunk.get(), kSnapChunkBytes) || in.gcount() > 0) {
+    const char* p = chunk.get();
+    const char* const end = p + in.gcount();
+    while (const char* nl = static_cast<const char*>(
+               std::memchr(p, '\n', static_cast<size_t>(end - p)))) {
+      if (partial.empty()) {
+        GPUTC_RETURN_IF_ERROR(parse_line(p, nl));
+      } else {
+        partial.append(p, nl);
+        GPUTC_RETURN_IF_ERROR(
+            parse_line(partial.data(), partial.data() + partial.size()));
+        partial.clear();
+      }
+      p = nl + 1;
+    }
+    partial.append(p, end);
   }
   if (in.bad()) return DataLossError("stream failed while reading edge list");
-  list.set_num_vertices(static_cast<VertexId>(remap.size()));
+  if (!partial.empty()) {  // A last line with no '\n'.
+    GPUTC_RETURN_IF_ERROR(
+        parse_line(partial.data(), partial.data() + partial.size()));
+  }
+  list.set_num_vertices(ids.size());
   return list;
 }
 

@@ -31,6 +31,22 @@ StatusOr<Graph> LoadSnapText(const std::string& path);
 
 /// Parses a SNAP stream into the raw staging EdgeList, *preserving* self
 /// loops and duplicate edges so GraphDoctor can report or repair them.
+///
+/// Accepted syntax, line by line (a line ends at '\n' or at end of stream):
+///   - an empty line, or one whose first byte is '#' or '%', is skipped;
+///     a comment marker after leading blanks is not a comment;
+///   - any other line must start with two tokens, each read exactly as
+///     `istream >> uint64_t` reads it in the C locale: skip ' ' and
+///     '\t'..'\r' (so a trailing '\r' is harmless), an optional '+' or '-'
+///     ('-' negates modulo 2^64), then one or more decimal digits, failing
+///     on overflow past 2^64 - 1. Whatever follows the second token is
+///     ignored.
+/// A line that does not hold two tokens is kDataLoss naming the line and
+/// quoting it (truncated to 60 bytes); passing the GraphDoctor ingestion
+/// caps is kResourceExhausted. Raw ids map to dense ids in first-seen order,
+/// the first token of a line before the second. The stream is read in
+/// fixed-size chunks and never held whole: memory is the edge list, the id
+/// map and one chunk.
 StatusOr<EdgeList> ReadSnapEdgeList(std::istream& in);
 
 /// Writes a graph in SNAP text format (one undirected edge per line, u < v).

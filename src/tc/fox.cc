@@ -144,12 +144,20 @@ StatusOr<TcResult> FoxCounter::TryCountWithEdgeOrder(
   // across blocks (Section 6.4 / Figure 15).
   constexpr int kMaxBins = 48;
   std::vector<std::vector<int64_t>> bins(kMaxBins);
-  for (int64_t pos : edge_order) {
+  std::vector<bool> seen(arcs.size(), false);
+  for (size_t i = 0; i < edge_order.size(); ++i) {
+    const int64_t pos = edge_order[i];
     if (pos < 0 || pos >= static_cast<int64_t>(arcs.size())) {
       return InvalidArgumentError("edge order entry " + std::to_string(pos) +
                                   " is outside [0, " +
                                   std::to_string(arcs.size()) + ")");
     }
+    if (seen[static_cast<size_t>(pos)]) {
+      return InvalidArgumentError(
+          "edge order is not a permutation: position " + std::to_string(pos) +
+          " repeats at entry " + std::to_string(i));
+    }
+    seen[static_cast<size_t>(pos)] = true;
     const int64_t volume =
         g.out_degree(arcs[static_cast<size_t>(pos)].v) + 1;
     bins[static_cast<size_t>(std::min(kMaxBins - 1, RadixBin(volume)))]

@@ -120,6 +120,20 @@ TEST(FoxEdgeOrderTest, ArbitraryEdgeOrderKeepsCountExact) {
       expected);
 }
 
+TEST(FoxEdgeOrderTest, RepeatedEntryIsInvalidArgument) {
+  const Graph g = GenerateErdosRenyi(60, 200, 4);
+  const DirectedGraph d = Orient(g, DirectionStrategy::kDegreeBased);
+  std::vector<int64_t> order(static_cast<size_t>(d.num_edges()));
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
+  order[9] = 3;  // Position 3 twice, position 9 never: right size and range.
+  const StatusOr<TcResult> result = FoxCounter().TryCountWithEdgeOrder(
+      d, DeviceSpec::TitanXpLike(), order, ExecContext{});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().message(),
+            "edge order is not a permutation: position 3 repeats at entry 9");
+}
+
 TEST(FoxEdgeOrderTest, WorkEstimatesMatchArcCount) {
   const Graph g = GenerateErdosRenyi(200, 800, 9);
   const DirectedGraph d = Orient(g, DirectionStrategy::kIdBased);
