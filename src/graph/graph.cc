@@ -1,7 +1,11 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <utility>
 
+#include "graph/validate.h"
 #include "util/logging.h"
 
 namespace gputc {
@@ -29,6 +33,27 @@ Graph Graph::FromEdgeList(EdgeList edges) {
   // u < v, so row x first receives its smaller neighbors u (from edges
   // (u, x), all of which precede the edges (x, v)) in ascending order, then
   // its larger neighbors v in ascending order.
+  return g;
+}
+
+StatusOr<Graph> Graph::FromCsr(std::vector<EdgeCount> offsets,
+                               std::vector<VertexId> adj) {
+  const uint64_t n = offsets.empty() ? 0 : offsets.size() - 1;
+  GPUTC_RETURN_IF_ERROR(
+      GraphDoctor::CheckCsr(n, adj.size() / 2, offsets, adj));
+  if (const std::optional<Finding> defect =
+          GraphDoctor::FindNonCanonical(offsets, adj)) {
+    const bool repairable = FindingIsRepairable(defect->kind);
+    return DataLossError(
+        std::string("adjacency is not canonical (") +
+        FindingKindName(defect->kind) + ": " + defect->detail + "); " +
+        (repairable ? "run 'gputc doctor --repair' to fix"
+                    : "'gputc doctor --repair' cannot fix it"));
+  }
+  Graph g;
+  g.num_edges_ = static_cast<EdgeCount>(adj.size() / 2);
+  g.offsets_ = std::move(offsets);
+  g.adj_ = std::move(adj);
   return g;
 }
 

@@ -6,6 +6,7 @@
 
 #include "graph/edge_list.h"
 #include "graph/types.h"
+#include "util/status.h"
 
 namespace gputc {
 
@@ -22,6 +23,13 @@ class Graph {
   /// Builds the CSR from an edge list. The list is normalized internally;
   /// callers may pass raw generator output.
   static Graph FromEdgeList(EdgeList edges);
+
+  /// Adopts CSR arrays as they are (n = offsets.size() - 1, m =
+  /// adj.size() / 2), without a rebuild. The arrays must pass
+  /// GraphDoctor::CheckCsr and GraphDoctor::FindNonCanonical, which this
+  /// runs, so no unchecked CSR becomes a Graph. kDataLoss otherwise.
+  static StatusOr<Graph> FromCsr(std::vector<EdgeCount> offsets,
+                                 std::vector<VertexId> adj);
 
   VertexId num_vertices() const {
     return static_cast<VertexId>(offsets_.empty() ? 0 : offsets_.size() - 1);

@@ -1,5 +1,6 @@
 #include "graph/io.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -296,42 +297,48 @@ bool SaveBinary(const Graph& g, const std::string& path) {
 
 namespace {
 
+/// Validates the header counts and the implied payload size against the
+/// physical file *before* allocating anything the header controls (the caps
+/// bound n and m, so the byte arithmetic cannot overflow uint64), then reads
+/// the offsets and adjacency sections that follow the header.
+Status ReadSections(std::istream& in, uint64_t file_size,
+                    uint64_t header_bytes, uint64_t n, uint64_t m,
+                    std::vector<EdgeCount>* offsets,
+                    std::vector<VertexId>* adj) {
+  GPUTC_RETURN_IF_ERROR(
+      GraphDoctor().CheckCounts(n, m).WithContext("header"));
+  const uint64_t expected_size = header_bytes + (n + 1) * sizeof(EdgeCount) +
+                                 2 * m * sizeof(VertexId);
+  if (file_size != expected_size) {
+    std::ostringstream msg;
+    msg << "header claims n = " << n << ", m = " << m << " implying "
+        << expected_size << " bytes, but the file is " << file_size
+        << " bytes";
+    return DataLossError(msg.str());
+  }
+  GPUTC_RETURN_IF_ERROR(
+      ReadArray(in, *offsets, static_cast<size_t>(n) + 1, "CSR offsets"));
+  return ReadArray(in, *adj, static_cast<size_t>(2 * m), "CSR adjacency");
+}
+
 /// v1 {magic, n, m} path: no checksums to verify, so only the structural
 /// checks stand between a bit flip and a wrong count. Kept loadable for
 /// existing corpora; the warning nudges toward a re-save.
 Status ReadBinaryV1(std::istream& in, uint64_t file_size,
-                    const std::string& path, uint64_t* n, uint64_t* m,
+                    const std::string& path,
                     std::vector<EdgeCount>* offsets,
                     std::vector<VertexId>* adj) {
-  uint64_t dummy_magic = 0;
+  uint64_t dummy_magic = 0, n = 0, m = 0;
   in.read(reinterpret_cast<char*>(&dummy_magic), sizeof(dummy_magic));
-  in.read(reinterpret_cast<char*>(n), sizeof(*n));
-  in.read(reinterpret_cast<char*>(m), sizeof(*m));
+  in.read(reinterpret_cast<char*>(&n), sizeof(n));
+  in.read(reinterpret_cast<char*>(&m), sizeof(m));
   if (!in) return DataLossError("cannot read header");
   GPUTC_LOG(Warning) << "'" << path
                      << "' is a v1 binary graph (no checksums); re-save with "
                         "'gputc convert' to upgrade to the checksummed v2 "
                         "format";
 
-  // Validate the header counts and the implied payload size against the
-  // physical file *before* allocating anything the header controls. The caps
-  // bound n and m, so the byte arithmetic below cannot overflow uint64.
-  const GraphDoctor doctor;
-  GPUTC_RETURN_IF_ERROR(doctor.CheckCounts(*n, *m).WithContext("header"));
-  const uint64_t expected_size = kHeaderBytes + (*n + 1) * sizeof(EdgeCount) +
-                                 2 * *m * sizeof(VertexId);
-  if (file_size != expected_size) {
-    std::ostringstream msg;
-    msg << "header claims n = " << *n << ", m = " << *m << " implying "
-        << expected_size << " bytes, but the file is " << file_size
-        << " bytes";
-    return DataLossError(msg.str());
-  }
-  GPUTC_RETURN_IF_ERROR(
-      ReadArray(in, *offsets, static_cast<size_t>(*n) + 1, "CSR offsets"));
-  GPUTC_RETURN_IF_ERROR(
-      ReadArray(in, *adj, static_cast<size_t>(2 * *m), "CSR adjacency"));
-  return OkStatus();
+  return ReadSections(in, file_size, kHeaderBytes, n, m, offsets, adj);
 }
 
 /// v2 path: header CRC, finalized flag, and per-section CRCs are all
@@ -339,7 +346,6 @@ Status ReadBinaryV1(std::istream& in, uint64_t file_size,
 /// precise message — a torn save, a bit flip in the payload, and a damaged
 /// header are distinguishable in the Status alone.
 Status ReadBinaryV2(std::istream& in, uint64_t file_size,
-                    uint64_t* n, uint64_t* m,
                     std::vector<EdgeCount>* offsets,
                     std::vector<VertexId>* adj) {
   if (file_size < kHeaderBytesV2) {
@@ -374,27 +380,13 @@ Status ReadBinaryV2(std::istream& in, uint64_t file_size,
         "file was never finalized: the writer did not complete its payload "
         "(torn or interrupted save)");
   }
-  *n = ReadScalar<uint64_t>(header + 16);
-  *m = ReadScalar<uint64_t>(header + 24);
+  const uint64_t n = ReadScalar<uint64_t>(header + 16);
+  const uint64_t m = ReadScalar<uint64_t>(header + 24);
   const uint32_t stored_offsets_crc = ReadScalar<uint32_t>(header + 32);
   const uint32_t stored_adj_crc = ReadScalar<uint32_t>(header + 36);
 
-  const GraphDoctor doctor;
-  GPUTC_RETURN_IF_ERROR(doctor.CheckCounts(*n, *m).WithContext("header"));
-  const uint64_t expected_size = kHeaderBytesV2 +
-                                 (*n + 1) * sizeof(EdgeCount) +
-                                 2 * *m * sizeof(VertexId);
-  if (file_size != expected_size) {
-    std::ostringstream msg;
-    msg << "header claims n = " << *n << ", m = " << *m << " implying "
-        << expected_size << " bytes, but the file is " << file_size
-        << " bytes";
-    return DataLossError(msg.str());
-  }
   GPUTC_RETURN_IF_ERROR(
-      ReadArray(in, *offsets, static_cast<size_t>(*n) + 1, "CSR offsets"));
-  GPUTC_RETURN_IF_ERROR(
-      ReadArray(in, *adj, static_cast<size_t>(2 * *m), "CSR adjacency"));
+      ReadSections(in, file_size, kHeaderBytesV2, n, m, offsets, adj));
 
   const uint32_t offsets_crc =
       Crc32c(offsets->data(), offsets->size() * sizeof(EdgeCount));
@@ -415,81 +407,103 @@ Status ReadBinaryV2(std::istream& in, uint64_t file_size,
   return OkStatus();
 }
 
+std::string BinaryContext(const std::string& path) {
+  return "LoadBinary('" + path + "')";
+}
+
+/// Reads either binary version up to, not including, the CSR checks: the
+/// header is checked against the file size and caps before any allocation,
+/// and v2 section CRCs are verified. `offsets` gets n+1 entries, `adj` 2m.
+Status ReadBinaryCsr(const std::string& path, std::vector<EdgeCount>* offsets,
+                     std::vector<VertexId>* adj) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return NotFoundError("cannot open '" + path + "'");
+  const auto read = [&]() -> Status {
+    in.seekg(0, std::ios::end);
+    const auto end_pos = in.tellg();
+    in.seekg(0, std::ios::beg);
+    if (end_pos < 0) return DataLossError("cannot determine file size");
+    const uint64_t file_size = static_cast<uint64_t>(end_pos);
+    if (file_size < kHeaderBytes) {
+      std::ostringstream msg;
+      msg << "truncated header: file is " << file_size << " bytes, need "
+          << kHeaderBytes;
+      return DataLossError(msg.str());
+    }
+
+    uint64_t magic = 0;
+    in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+    if (!in) return DataLossError("cannot read header");
+    in.seekg(0, std::ios::beg);
+
+    if (magic == kBinaryMagicV2) {
+      return ReadBinaryV2(in, file_size, offsets, adj);
+    }
+    if (magic == kBinaryMagic) {
+      return ReadBinaryV1(in, file_size, path, offsets, adj);
+    }
+    std::ostringstream msg;
+    msg << "bad magic " << HexU64(magic) << ", want "
+        << HexU64(kBinaryMagicV2) << " (v2) or " << HexU64(kBinaryMagic)
+        << " (v1)";
+    return DataLossError(msg.str());
+  };
+  return read().WithContext(BinaryContext(path));
+}
+
 }  // namespace
 
 StatusOr<EdgeList> LoadBinaryEdgeList(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open '" + path + "'");
-  const std::string ctx = "LoadBinary('" + path + "')";
-
-  in.seekg(0, std::ios::end);
-  const auto end_pos = in.tellg();
-  in.seekg(0, std::ios::beg);
-  if (end_pos < 0) {
-    return DataLossError("cannot determine file size").WithContext(ctx);
-  }
-  const uint64_t file_size = static_cast<uint64_t>(end_pos);
-  if (file_size < kHeaderBytes) {
-    std::ostringstream msg;
-    msg << "truncated header: file is " << file_size << " bytes, need "
-        << kHeaderBytes;
-    return DataLossError(msg.str()).WithContext(ctx);
-  }
-
-  uint64_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in) return DataLossError("cannot read header").WithContext(ctx);
-  in.seekg(0, std::ios::beg);
-
-  uint64_t n = 0, m = 0;
   std::vector<EdgeCount> offsets;
   std::vector<VertexId> adj;
-  if (magic == kBinaryMagicV2) {
-    GPUTC_RETURN_IF_ERROR(
-        ReadBinaryV2(in, file_size, &n, &m, &offsets, &adj).WithContext(ctx));
-  } else if (magic == kBinaryMagic) {
-    GPUTC_RETURN_IF_ERROR(
-        ReadBinaryV1(in, file_size, path, &n, &m, &offsets, &adj)
-            .WithContext(ctx));
-  } else {
-    std::ostringstream msg;
-    msg << "bad magic " << HexU64(magic) << ", want " << HexU64(kBinaryMagicV2)
-        << " (v2) or " << HexU64(kBinaryMagic) << " (v1)";
-    return DataLossError(msg.str()).WithContext(ctx);
-  }
-  GPUTC_RETURN_IF_ERROR(GraphDoctor::CheckCsr(n, m, offsets, adj)
-                            .WithContext(ctx));
+  GPUTC_RETURN_IF_ERROR(ReadBinaryCsr(path, &offsets, &adj));
+  const uint64_t n = offsets.size() - 1;
+  GPUTC_RETURN_IF_ERROR(GraphDoctor::CheckCsr(n, adj.size() / 2, offsets, adj)
+                            .WithContext(BinaryContext(path)));
 
   // Structurally sound: lift into the staging edge list, preserving self
   // loops and duplicate entries for GraphDoctor to judge. Upper-triangle
-  // entries carry the edges; lower-triangle entries are the mirrors.
+  // entries carry the edges; lower-triangle entries are the mirrors, so the
+  // two must agree as multisets or the lift would invent a graph the file
+  // does not hold.
   EdgeList list(static_cast<VertexId>(n));
+  std::vector<uint64_t> upper, lower;
   for (VertexId u = 0; u < n; ++u) {
     for (EdgeCount i = offsets[u]; i < offsets[u + 1]; ++i) {
       const VertexId v = adj[static_cast<size_t>(i)];
       if (u <= v) list.Add(u, v);
+      if (u < v) upper.push_back((uint64_t{u} << 32) | v);
+      if (u > v) lower.push_back((uint64_t{v} << 32) | u);
     }
+  }
+  std::sort(upper.begin(), upper.end());
+  std::sort(lower.begin(), lower.end());
+  const auto [up, low] =
+      std::mismatch(upper.begin(), upper.end(), lower.begin(), lower.end());
+  if (up != upper.end() || low != lower.end()) {
+    // The smaller key at the first difference is listed more often in one
+    // of its two rows than in the other.
+    const uint64_t key =
+        low == lower.end() || (up != upper.end() && *up < *low) ? *up : *low;
+    const std::string a = std::to_string(key >> 32);
+    const std::string b = std::to_string(static_cast<VertexId>(key));
+    return DataLossError("asymmetric adjacency: rows " + a + " and " + b +
+                         " list edge (" + a + ", " + b +
+                         ") a different number of times; not repairable")
+        .WithContext(BinaryContext(path));
   }
   list.set_num_vertices(static_cast<VertexId>(n));
   return list;
 }
 
 StatusOr<Graph> LoadBinary(const std::string& path) {
-  GPUTC_ASSIGN_OR_RETURN(EdgeList list, LoadBinaryEdgeList(path));
-  const uint64_t m = static_cast<uint64_t>(list.num_edges());
-  Graph g = Graph::FromEdgeList(std::move(list));
-  // A canonical CSR reassembles to exactly the header's edge count. Any
-  // difference means self loops, duplicates, or asymmetric rows survived the
-  // structural checks — repairable defects the strict loader refuses.
-  if (static_cast<uint64_t>(g.num_edges()) != m) {
-    std::ostringstream msg;
-    msg << "adjacency is not canonical: reassembly kept " << g.num_edges()
-        << " of " << m
-        << " edges (self loops, duplicates, or asymmetric rows); run "
-        << "'gputc doctor --repair' to fix";
-    return DataLossError(msg.str())
-        .WithContext("LoadBinary('" + path + "')");
-  }
+  std::vector<EdgeCount> offsets;
+  std::vector<VertexId> adj;
+  GPUTC_RETURN_IF_ERROR(ReadBinaryCsr(path, &offsets, &adj));
+  // Adopt the arrays as read: FromCsr runs CheckCsr and the linear
+  // canonical check, and a canonical CSR is already the Graph.
+  StatusOr<Graph> g = Graph::FromCsr(std::move(offsets), std::move(adj));
+  if (!g.ok()) return g.status().WithContext(BinaryContext(path));
   return g;
 }
 

@@ -78,12 +78,19 @@ bool SaveBinary(const Graph& g, const std::string& path);
 /// header is checked against the physical file size and allocation caps
 /// *before* any payload-sized buffer is allocated, offsets must be monotonic
 /// with offsets[n] == 2m, and every adjacency id must be in range. The CSR
-/// must be canonical (symmetric, no self loops or duplicates); use
-/// LoadBinaryEdgeList + GraphDoctor for repairable inputs.
+/// must be canonical: every row sorted strictly ascending (so no
+/// duplicates), no self loops, and symmetric. The arrays read are adopted
+/// as the Graph without a rebuild (Graph::FromCsr, a linear check); a
+/// non-canonical file is kDataLoss "not canonical", never silently sorted
+/// or reassembled. Use LoadBinaryEdgeList + GraphDoctor for repairable
+/// inputs.
 StatusOr<Graph> LoadBinary(const std::string& path);
 
 /// Binary loader that stops after structural validation and returns the raw
-/// edge list (self loops and in-row duplicates preserved) for GraphDoctor.
+/// edge list (the upper-triangle entries, self loops and in-row duplicates
+/// preserved) for GraphDoctor. An asymmetric CSR — upper entries (u, v) and
+/// mirrored lower entries (v, u) differ as multisets — is kDataLoss
+/// "asymmetric adjacency": no repair can tell which side is right.
 StatusOr<EdgeList> LoadBinaryEdgeList(const std::string& path);
 
 // Extension-dispatching conveniences used by the CLI: ".bin" selects the

@@ -163,6 +163,52 @@ Status GraphDoctor::CheckCsr(uint64_t num_vertices, uint64_t num_edges,
   return OkStatus();
 }
 
+std::optional<Finding> GraphDoctor::FindNonCanonical(
+    std::span<const EdgeCount> offsets, std::span<const VertexId> adj) {
+  const VertexId n =
+      static_cast<VertexId>(offsets.empty() ? 0 : offsets.size() - 1);
+  // cursor[v]: the next entry of row v no earlier row has mirrored yet.
+  std::vector<EdgeCount> cursor(offsets.begin(), offsets.begin() + n);
+  std::optional<Finding> asymmetric;
+  for (VertexId u = 0; u < n; ++u) {
+    const EdgeCount begin = offsets[u], end = offsets[u + 1];
+    for (EdgeCount i = begin; i < end; ++i) {
+      const VertexId v = adj[static_cast<size_t>(i)];
+      if (v == u) {
+        return Finding{FindingKind::kSelfLoop, 1,
+                       "vertex " + std::to_string(u) + " lists itself"};
+      }
+      if (i > begin && v == adj[static_cast<size_t>(i - 1)]) {
+        return Finding{FindingKind::kDuplicateEdge, 1,
+                       "vertex " + std::to_string(u) + " lists neighbor " +
+                           std::to_string(v) + " twice"};
+      }
+      if (i > begin && v < adj[static_cast<size_t>(i - 1)]) {
+        return Finding{FindingKind::kAdjacencyUnsorted, 1,
+                       "row of vertex " + std::to_string(u) +
+                           " is not sorted at position " +
+                           std::to_string(i - begin)};
+      }
+      if (asymmetric) continue;  // Keep scanning rows for row defects.
+      EdgeCount& c = cursor[v];
+      if (c < offsets[v + 1] && adj[static_cast<size_t>(c)] == u) {
+        ++c;
+        continue;
+      }
+      // With sorted rows, an unmirrored entry w < u at the cursor means row
+      // w (already scanned) never listed v; otherwise u is absent from row v.
+      const bool row_v_extra =
+          c < offsets[v + 1] && adj[static_cast<size_t>(c)] < u;
+      const VertexId a = row_v_extra ? v : u;
+      const VertexId b = row_v_extra ? adj[static_cast<size_t>(c)] : v;
+      asymmetric = Finding{FindingKind::kAsymmetricAdjacency, 1,
+                           "edge (" + std::to_string(a) + ", " +
+                               std::to_string(b) + ") has no mirror entry"};
+    }
+  }
+  return asymmetric;
+}
+
 ValidationReport GraphDoctor::Examine(const EdgeList& list) const {
   ValidationReport report;
 
@@ -265,36 +311,10 @@ ValidationReport GraphDoctor::Examine(const Graph& g) const {
     return report;  // Row scans below would index out of bounds.
   }
 
-  int64_t self_loops = 0, unsorted_rows = 0, duplicate_entries = 0,
-          asymmetric = 0;
-  std::string first_loop, first_unsorted, first_dup, first_asym;
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    const auto nbrs = g.neighbors(u);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      if (nbrs[i] == u && self_loops++ == 0) {
-        first_loop = "vertex " + std::to_string(u) + " lists itself";
-      }
-      if (i > 0 && nbrs[i] < nbrs[i - 1] && unsorted_rows++ == 0) {
-        first_unsorted = "row of vertex " + std::to_string(u) +
-                         " is not sorted at position " + std::to_string(i);
-      }
-      if (i > 0 && nbrs[i] == nbrs[i - 1] && duplicate_entries++ == 0) {
-        first_dup = "vertex " + std::to_string(u) + " lists neighbor " +
-                    std::to_string(nbrs[i]) + " twice";
-      }
-      if (nbrs[i] != u && !g.HasEdge(nbrs[i], u) && asymmetric++ == 0) {
-        first_asym = "edge (" + std::to_string(u) + ", " +
-                     std::to_string(nbrs[i]) + ") has no mirror entry";
-      }
-    }
+  if (std::optional<Finding> defect =
+          FindNonCanonical(g.offsets(), g.adjacency())) {
+    report.findings.push_back(*std::move(defect));
   }
-  AddFinding(report.findings, FindingKind::kSelfLoop, self_loops, first_loop);
-  AddFinding(report.findings, FindingKind::kAdjacencyUnsorted, unsorted_rows,
-             first_unsorted);
-  AddFinding(report.findings, FindingKind::kDuplicateEdge, duplicate_entries,
-             first_dup);
-  AddFinding(report.findings, FindingKind::kAsymmetricAdjacency, asymmetric,
-             first_asym);
 
   // Wedge count bounds the triangle accumulator; warn before an int64 sum
   // could wrap. Accumulate in 128 bits so the check itself cannot overflow.

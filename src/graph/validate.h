@@ -2,6 +2,7 @@
 #define GPUTC_GRAPH_VALIDATE_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -94,7 +95,8 @@ class GraphDoctor {
   ValidationReport Examine(const EdgeList& list) const;
 
   /// Scans a built CSR graph: offset monotonicity/bounds, neighbor range,
-  /// row sortedness, adjacency symmetry, triangle-count overflow risk.
+  /// then FindNonCanonical (row order, loops, duplicates, symmetry) and the
+  /// triangle-count overflow risk. Linear in n + m.
   ValidationReport Examine(const Graph& g) const;
 
   /// Raw-CSR check used by LoadBinary before a Graph exists. `offsets` must
@@ -103,6 +105,16 @@ class GraphDoctor {
   static Status CheckCsr(uint64_t num_vertices, uint64_t num_edges,
                          std::span<const EdgeCount> offsets,
                          std::span<const VertexId> adj);
+
+  /// Canonical-form check for a CSR that passed CheckCsr: every row strictly
+  /// increasing (sorted, no duplicates), no self loops, and every entry
+  /// mirrored. One pass in O(n + m): a cursor per row walks that row's
+  /// entries in the order the ascending sources u reach it, so the mirror
+  /// of (u, v) must sit exactly at cursor[v]. Returns the first defect (in
+  /// row-major order; a row defect wins over an asymmetry, which an
+  /// unsorted row can fake) with count 1, or nullopt when canonical.
+  static std::optional<Finding> FindNonCanonical(
+      std::span<const EdgeCount> offsets, std::span<const VertexId> adj);
 
   /// Validates header counts against the caps without touching payload —
   /// call before allocating anything sized by an untrusted header.

@@ -11,6 +11,10 @@
 #include <fstream>
 #include <utility>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <nmmintrin.h>
+#endif
+
 #include "util/failpoint.h"
 #include "util/fs_io.h"
 #include "util/logging.h"
@@ -65,10 +69,9 @@ uint32_t GetU32(const char* p) {
 
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
-  // Software slice-by-one table for the Castagnoli polynomial (reflected
-  // 0x82F63B78). Built once; the table is tiny and the inputs here (headers,
-  // journal lines, CSR sections) are not on any kernel-model hot path.
+uint32_t Crc32cPortable(const void* data, size_t size, uint32_t seed) {
+  // Slice-by-one table for the Castagnoli polynomial (reflected 0x82F63B78),
+  // built once.
   static const std::array<uint32_t, 256> kTable = [] {
     std::array<uint32_t, 256> table{};
     for (uint32_t i = 0; i < 256; ++i) {
@@ -86,6 +89,44 @@ uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
     crc = kTable[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+namespace {
+
+#if defined(__x86_64__) && defined(__GNUC__)
+/// SSE4.2 `crc32` computes the same Castagnoli CRC, 8 bytes per instruction.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
+                                                       size_t size,
+                                                       uint32_t seed) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  uint64_t crc = static_cast<uint32_t>(~seed);
+  for (; size >= sizeof(uint64_t); size -= sizeof(uint64_t)) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+    p += sizeof(word);
+  }
+  uint32_t tail = static_cast<uint32_t>(crc);
+  for (; size > 0; --size) tail = _mm_crc32_u8(tail, *p++);
+  return ~tail;
+}
+#endif
+
+using Crc32cFn = uint32_t (*)(const void*, size_t, uint32_t);
+
+Crc32cFn PickCrc32c() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return Crc32cSse42;
+#endif
+  return Crc32cPortable;
+}
+
+}  // namespace
+
+uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
+  static const Crc32cFn kImpl = PickCrc32c();
+  return kImpl(data, size, seed);
 }
 
 // -- AtomicFileWriter ---------------------------------------------------------

@@ -46,10 +46,20 @@ namespace gputc {
 
 /// CRC32C (Castagnoli polynomial, as used by ext4, RocksDB, and gRPC).
 /// `seed` chains partial computations: Crc32c(b, nb, Crc32c(a, na)).
+/// It checksums every binary graph section, prep-cache artifact, WAL frame
+/// and worker-wire message, so it runs on the binary load and cache-hit
+/// paths. On x86-64 CPUs with SSE4.2 it uses the `crc32` instruction, 8
+/// bytes at a time (several GB/s); elsewhere it falls back to
+/// Crc32cPortable. The path is picked once per process from the CPU's
+/// feature bits; both give identical results.
 uint32_t Crc32c(const void* data, size_t size, uint32_t seed = 0);
 inline uint32_t Crc32c(std::string_view data, uint32_t seed = 0) {
   return Crc32c(data.data(), data.size(), seed);
 }
+
+/// The portable reference for Crc32c: a byte-at-a-time table loop that runs
+/// on any CPU (a few hundred MB/s). Crc32c must equal it on every input.
+uint32_t Crc32cPortable(const void* data, size_t size, uint32_t seed = 0);
 
 /// Atomic whole-file replacement. Writes stream into
 /// `<path>.tmp.<pid>.<seq>` (the sequence number keeps concurrent writers

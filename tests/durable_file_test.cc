@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/random.h"
+
 namespace gputc {
 namespace {
 
@@ -64,6 +66,51 @@ TEST(Crc32cTest, DetectsSingleBitFlip) {
   const uint32_t before = Crc32c(data);
   data[5] ^= 0x01;
   EXPECT_NE(before, Crc32c(data));
+}
+
+std::vector<unsigned char> RandomBytes(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(size);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.Next64());
+  return bytes;
+}
+
+// Crc32c may take a hardware path; the table loop is the reference. Every
+// length up to 4 KiB at every start offset covers each word/tail split and
+// misalignment of the 8-byte loop.
+TEST(Crc32cTest, MatchesPortableAtEveryLengthAndOffset) {
+  const std::vector<unsigned char> buf = RandomBytes(4096 + 8, /*seed=*/1);
+  EXPECT_EQ(Crc32cPortable("123456789", 9), 0xE3069283u);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      ASSERT_EQ(Crc32c(buf.data() + offset, len),
+                Crc32cPortable(buf.data() + offset, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, MatchesPortableWithRandomSeeds) {
+  Rng rng(2);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const uint32_t seed = static_cast<uint32_t>(rng.Next64());
+    const std::vector<unsigned char> buf =
+        RandomBytes(rng.NextBounded(300), rng.Next64());
+    ASSERT_EQ(Crc32c(buf.data(), buf.size(), seed),
+              Crc32cPortable(buf.data(), buf.size(), seed))
+        << "trial " << trial << ", seed " << seed;
+  }
+}
+
+TEST(Crc32cTest, ChainsAtEverySplit) {
+  const std::vector<unsigned char> buf = RandomBytes(1024, /*seed=*/3);
+  const uint32_t whole = Crc32cPortable(buf.data(), buf.size());
+  ASSERT_EQ(Crc32c(buf.data(), buf.size()), whole);
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    const uint32_t head = Crc32c(buf.data(), split);
+    ASSERT_EQ(Crc32c(buf.data() + split, buf.size() - split, head), whole)
+        << "split " << split;
+  }
 }
 
 // -- atomic whole-file replacement ------------------------------------------

@@ -389,6 +389,110 @@ TEST_F(CorruptV2Test, LegacyV1FileStillLoads) {
   EXPECT_EQ(g->num_edges(), 2);
 }
 
+// -- non-canonical CSRs behind valid checksums --------------------------------
+//
+// Each file below passes every CRC and the structural CheckCsr; only the
+// canonical-form check stands between it and a Graph that differs from the
+// file.
+
+constexpr uint64_t kMagicV2 = 0x32564752'47525048ull;
+
+template <typename T>
+void PutLe(std::string* out, T value) {
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+  }
+}
+
+/// Writes a finalized v2 file with correct CRCs around arbitrary CSR arrays.
+void WriteCraftedV2(const std::string& path, uint64_t n, uint64_t m,
+                    const std::vector<EdgeCount>& offsets,
+                    const std::vector<VertexId>& adj) {
+  const size_t offsets_bytes = offsets.size() * sizeof(EdgeCount);
+  const size_t adj_bytes = adj.size() * sizeof(VertexId);
+  std::string bytes;
+  PutLe<uint64_t>(&bytes, kMagicV2);
+  PutLe<uint32_t>(&bytes, 2);  // Version.
+  PutLe<uint32_t>(&bytes, 1);  // Finalized.
+  PutLe<uint64_t>(&bytes, n);
+  PutLe<uint64_t>(&bytes, m);
+  PutLe<uint32_t>(&bytes, Crc32c(offsets.data(), offsets_bytes));
+  PutLe<uint32_t>(&bytes, Crc32c(adj.data(), adj_bytes));
+  PutLe<uint32_t>(&bytes, 0);  // Reserved.
+  PutLe<uint32_t>(&bytes, Crc32c(bytes.data(), bytes.size()));
+  bytes.append(reinterpret_cast<const char*>(offsets.data()), offsets_bytes);
+  bytes.append(reinterpret_cast<const char*>(adj.data()), adj_bytes);
+  WriteBytes(path, bytes);
+}
+
+class NonCanonicalV2Test : public CorruptV2Test {
+ protected:
+  void ExpectNotCanonical(const std::string& path,
+                          const std::string& finding) {
+    ExpectDataLossContaining(path, "not canonical");
+    ExpectDataLossContaining(path, finding);
+    ExpectDataLossContaining(path, "gputc doctor --repair");
+  }
+};
+
+TEST_F(NonCanonicalV2Test, AsymmetricCsrIsRejectedNotReassembled) {
+  // n=3, m=1: row 0 = [1], row 1 = [], row 2 = [0]. Lifting the upper
+  // entries alone would load the edge 0-1, a graph the file does not hold.
+  const std::string path = Path("asym.bin");
+  WriteCraftedV2(path, 3, 1, {0, 1, 1, 2}, {1, 0});
+  ExpectNotCanonical(path, "asymmetric-adjacency");
+
+  // The doctor's raw path refuses it too: the missing mirror is structural.
+  const StatusOr<EdgeList> raw = LoadBinaryEdgeList(path);
+  ASSERT_FALSE(raw.ok()) << "raw loader accepted an asymmetric CSR";
+  EXPECT_EQ(raw.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(raw.status().message().find("asymmetric adjacency"),
+            std::string::npos)
+      << raw.status().ToString();
+  EXPECT_NE(raw.status().message().find(path), std::string::npos);
+}
+
+TEST_F(NonCanonicalV2Test, UnsortedRowIsRejectedNotSorted) {
+  // Symmetric edges 0-1 and 0-2, but row 0 = [2, 1].
+  const std::string path = Path("unsorted_row.bin");
+  WriteCraftedV2(path, 3, 2, {0, 2, 3, 4}, {2, 1, 0, 0});
+  ExpectNotCanonical(path, "adjacency-unsorted");
+  // Raw path: symmetric, so the list reaches the doctor.
+  const StatusOr<EdgeList> raw = LoadBinaryEdgeList(path);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  EXPECT_EQ(raw->num_edges(), 2);
+}
+
+TEST_F(NonCanonicalV2Test, InRowDuplicateIsRejected) {
+  // Row 0 = [1, 1, 2]; the duplicate is mirrored, so only it is wrong.
+  const std::string path = Path("dup_row.bin");
+  WriteCraftedV2(path, 3, 3, {0, 3, 5, 6}, {1, 1, 2, 0, 0, 0});
+  ExpectNotCanonical(path, "duplicate-edge");
+  // Raw path keeps the duplicate for the doctor, which repairs it.
+  StatusOr<EdgeList> raw = LoadBinaryEdgeList(path);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  const GraphDoctor doctor;
+  EXPECT_TRUE(doctor.Examine(*raw).findings.size() > 0);
+  const StatusOr<Graph> repaired =
+      doctor.BuildGraph(*std::move(raw), RepairPolicy::kRepair);
+  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+  EXPECT_EQ(repaired->num_edges(), 2);
+}
+
+TEST_F(NonCanonicalV2Test, UnmirroredDuplicateIsAsymmetricOnTheRawPath) {
+  // Row 0 = [1, 1] but row 1 = [0, 2], and row 2 = [1, 1]: the
+  // multiplicities disagree although every entry has some mirror.
+  const std::string path = Path("dup_unmirrored.bin");
+  WriteCraftedV2(path, 3, 3, {0, 2, 4, 6}, {1, 1, 0, 2, 1, 1});
+  const StatusOr<EdgeList> raw = LoadBinaryEdgeList(path);
+  ASSERT_FALSE(raw.ok());
+  EXPECT_EQ(raw.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(raw.status().message().find(
+                "rows 0 and 1 list edge (0, 1) a different number of times"),
+            std::string::npos)
+      << raw.status().ToString();
+}
+
 TEST(LoadGraphDispatchTest, ErrorsOnEitherFormatCarryContext) {
   const StatusOr<Graph> bin = LoadGraph("/nonexistent/g.bin");
   ASSERT_FALSE(bin.ok());

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
+#include "util/random.h"
 
 namespace gputc {
 namespace {
@@ -137,6 +142,231 @@ TEST(GraphDoctorTest, ExamineGraphCleanOnLibraryOutput) {
   const Graph g = GenerateRmat(8, 4, /*seed=*/5);
   const ValidationReport report = GraphDoctor().Examine(g);
   EXPECT_TRUE(report.clean()) << report.Summary();
+}
+
+// -- canonical-CSR check ----------------------------------------------------
+
+using Rows = std::vector<std::vector<VertexId>>;
+
+Rows RowsOf(const Graph& g) {
+  Rows rows(g.num_vertices());
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    rows[u].assign(g.neighbors(u).begin(), g.neighbors(u).end());
+  }
+  return rows;
+}
+
+struct Csr {
+  std::vector<EdgeCount> offsets{0};
+  std::vector<VertexId> adj;
+};
+
+Csr CsrOf(const Rows& rows) {
+  Csr csr;
+  for (const std::vector<VertexId>& row : rows) {
+    csr.adj.insert(csr.adj.end(), row.begin(), row.end());
+    csr.offsets.push_back(static_cast<EdgeCount>(csr.adj.size()));
+  }
+  return csr;
+}
+
+/// Oracle: the per-row scan Examine(const Graph&) ran before the linear
+/// check (a binary search per arc), over raw arrays. One finding per defect
+/// kind, each with the first instance in row-major order. That scan asked
+/// Graph::HasEdge(v, u), which searches the shorter of the two rows and so
+/// passed a missing mirror whenever row v was the longer one; the oracle
+/// searches row v itself.
+std::vector<Finding> PerRowScan(const Csr& csr) {
+  const VertexId n = static_cast<VertexId>(csr.offsets.size() - 1);
+  const auto row = [&](VertexId v) {
+    return std::span<const VertexId>(
+        csr.adj.data() + csr.offsets[v],
+        static_cast<size_t>(csr.offsets[v + 1] - csr.offsets[v]));
+  };
+  const auto lists = [&](VertexId u, VertexId v) {
+    return std::binary_search(row(u).begin(), row(u).end(), v);
+  };
+  int64_t loops = 0, unsorted = 0, dups = 0, asym = 0;
+  std::string first_loop, first_unsorted, first_dup, first_asym;
+  for (VertexId u = 0; u < n; ++u) {
+    const auto nbrs = row(u);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      if (nbrs[i] == u && loops++ == 0) {
+        first_loop = "vertex " + std::to_string(u) + " lists itself";
+      }
+      if (i > 0 && nbrs[i] < nbrs[i - 1] && unsorted++ == 0) {
+        first_unsorted = "row of vertex " + std::to_string(u) +
+                         " is not sorted at position " + std::to_string(i);
+      }
+      if (i > 0 && nbrs[i] == nbrs[i - 1] && dups++ == 0) {
+        first_dup = "vertex " + std::to_string(u) + " lists neighbor " +
+                    std::to_string(nbrs[i]) + " twice";
+      }
+      if (nbrs[i] != u && !lists(nbrs[i], u) && asym++ == 0) {
+        first_asym = "edge (" + std::to_string(u) + ", " +
+                     std::to_string(nbrs[i]) + ") has no mirror entry";
+      }
+    }
+  }
+  std::vector<Finding> found;
+  if (loops > 0) found.push_back({FindingKind::kSelfLoop, loops, first_loop});
+  if (unsorted > 0) {
+    found.push_back({FindingKind::kAdjacencyUnsorted, unsorted,
+                     first_unsorted});
+  }
+  if (dups > 0) found.push_back({FindingKind::kDuplicateEdge, dups, first_dup});
+  if (asym > 0) {
+    found.push_back({FindingKind::kAsymmetricAdjacency, asym, first_asym});
+  }
+  return found;
+}
+
+void InsertSorted(std::vector<VertexId>& row, VertexId v) {
+  row.insert(std::upper_bound(row.begin(), row.end(), v), v);
+}
+
+/// Plants at most one defect of the five classes (or none) in `rows`.
+std::string PlantDefect(Rows& rows, Rng& rng) {
+  const VertexId n = static_cast<VertexId>(rows.size());
+  const auto nonempty_row = [&]() {
+    for (;;) {
+      const VertexId u = rng.NextU32(n);
+      if (!rows[u].empty()) return u;
+    }
+  };
+  switch (rng.NextU32(6)) {
+    case 0: {  // Drop one mirror, add an entry elsewhere: total stays 2m.
+      const VertexId u = nonempty_row();
+      const VertexId v = rows[u][rng.NextU32(
+          static_cast<uint32_t>(rows[u].size()))];
+      std::erase(rows[v], u);
+      InsertSorted(rows[rng.NextU32(n)], rng.NextU32(n));
+      return "drop mirror of (" + std::to_string(u) + ", " +
+             std::to_string(v) + ") + add";
+    }
+    case 1: {  // Swap two adjacent entries.
+      VertexId u = nonempty_row();
+      while (rows[u].size() < 2) u = nonempty_row();
+      const size_t i = rng.NextU32(static_cast<uint32_t>(rows[u].size() - 1));
+      std::swap(rows[u][i], rows[u][i + 1]);
+      return "swap in row " + std::to_string(u);
+    }
+    case 2: {  // Duplicate an entry in place.
+      const VertexId u = nonempty_row();
+      const size_t i = rng.NextU32(static_cast<uint32_t>(rows[u].size()));
+      rows[u].insert(rows[u].begin() + static_cast<ptrdiff_t>(i), rows[u][i]);
+      return "duplicate in row " + std::to_string(u);
+    }
+    case 3: {  // Self loop.
+      const VertexId u = rng.NextU32(n);
+      InsertSorted(rows[u], u);
+      return "self loop at " + std::to_string(u);
+    }
+    case 4: {  // Move an entry to another row, keeping both rows sorted.
+      const VertexId u = nonempty_row();
+      const size_t i = rng.NextU32(static_cast<uint32_t>(rows[u].size()));
+      const VertexId v = rows[u][i];
+      rows[u].erase(rows[u].begin() + static_cast<ptrdiff_t>(i));
+      InsertSorted(rows[rng.NextU32(n)], v);
+      return "move entry " + std::to_string(v) + " out of row " +
+             std::to_string(u);
+    }
+    default:
+      return "none";
+  }
+}
+
+TEST(CanonicalCsrTest, AgreesWithPerRowScanOnPlantedDefects) {
+  const std::vector<Graph> graphs = {
+      GenerateErdosRenyi(60, 200, /*seed=*/1),
+      GenerateRmat(7, 6, /*seed=*/2),
+      GenerateBarabasiAlbert(80, 3, /*seed=*/3),
+      GenerateWattsStrogatz(50, 4, 0.2, /*seed=*/4),
+      StarGraph(12),
+      CompleteGraph(6),
+  };
+  Rng rng(11);
+  int defective = 0;
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    for (int trial = 0; trial < 400; ++trial) {
+      Rows rows = RowsOf(graphs[gi]);
+      const std::string planted = PlantDefect(rows, rng);
+      const Csr csr = CsrOf(rows);
+      const VertexId n = static_cast<VertexId>(rows.size());
+      // Offsets stay monotonic with in-range ids; a plant that adds one
+      // entry leaves an odd total, which only CheckCsr's 2m rule refuses.
+      if (csr.adj.size() % 2 == 0) {
+        ASSERT_TRUE(GraphDoctor::CheckCsr(n, csr.adj.size() / 2, csr.offsets,
+                                          csr.adj)
+                        .ok());
+      }
+      const std::vector<Finding> oracle = PerRowScan(csr);
+      const std::optional<Finding> got =
+          GraphDoctor::FindNonCanonical(csr.offsets, csr.adj);
+      const std::string where =
+          "graph " + std::to_string(gi) + ", trial " + std::to_string(trial) +
+          ", planted " + planted;
+      ASSERT_EQ(got.has_value(), !oracle.empty())
+          << where << (got ? ": got " + got->detail : ": oracle " +
+                                                          oracle[0].detail);
+      if (!got) continue;
+      ++defective;
+      EXPECT_EQ(got->count, 1) << where;
+      const bool only_asymmetric =
+          oracle.size() == 1 &&
+          oracle[0].kind == FindingKind::kAsymmetricAdjacency;
+      if (got->kind == FindingKind::kAsymmetricAdjacency) {
+        // Rows are canonical, so the named arc is a real unmirrored one.
+        ASSERT_TRUE(only_asymmetric) << where << ": " << got->detail;
+        unsigned a = 0, b = 0;
+        ASSERT_EQ(std::sscanf(got->detail.c_str(),
+                              "edge (%u, %u) has no mirror entry", &a, &b),
+                  2)
+            << got->detail;
+        EXPECT_TRUE(std::binary_search(rows[a].begin(), rows[a].end(), b))
+            << where << ": " << got->detail;
+        EXPECT_FALSE(std::binary_search(rows[b].begin(), rows[b].end(), a))
+            << where << ": " << got->detail;
+        continue;
+      }
+      // A row defect: the first one in row-major order, as the scan saw it.
+      ASSERT_FALSE(only_asymmetric) << where << ": " << got->detail;
+      const auto same = std::find_if(
+          oracle.begin(), oracle.end(),
+          [&](const Finding& f) { return f.kind == got->kind; });
+      ASSERT_NE(same, oracle.end()) << where << ": " << got->detail;
+      EXPECT_EQ(got->detail, same->detail) << where;
+    }
+  }
+  EXPECT_GT(defective, 1000);  // Most plants are defects, not no-ops.
+}
+
+TEST(CanonicalCsrTest, NamesEachDefectKind) {
+  const auto check = [](std::vector<EdgeCount> offsets,
+                        std::vector<VertexId> adj, FindingKind kind,
+                        const std::string& detail) {
+    const std::optional<Finding> got =
+        GraphDoctor::FindNonCanonical(offsets, adj);
+    ASSERT_TRUE(got.has_value()) << detail;
+    EXPECT_EQ(got->kind, kind) << got->detail;
+    EXPECT_EQ(got->detail, detail);
+  };
+  // Row 1 empty, row 2 = [0]: the entry (0, 1) has no mirror.
+  check({0, 1, 1, 2}, {1, 0}, FindingKind::kAsymmetricAdjacency,
+        "edge (0, 1) has no mirror entry");
+  // Row 0 = [2, 1] is symmetric but unsorted.
+  check({0, 2, 3, 4}, {2, 1, 0, 0}, FindingKind::kAdjacencyUnsorted,
+        "row of vertex 0 is not sorted at position 1");
+  check({0, 2, 4}, {1, 1, 0, 0}, FindingKind::kDuplicateEdge,
+        "vertex 0 lists neighbor 1 twice");
+  check({0, 1, 3}, {1, 0, 1}, FindingKind::kSelfLoop, "vertex 1 lists itself");
+  // An unsorted row 2 = [1, 0] makes row 0's mirror look missing; the row
+  // defect is what gets reported.
+  check({0, 1, 2, 4}, {2, 2, 1, 0}, FindingKind::kAdjacencyUnsorted,
+        "row of vertex 2 is not sorted at position 1");
+  EXPECT_FALSE(GraphDoctor::FindNonCanonical(std::vector<EdgeCount>{0},
+                                             std::vector<VertexId>{})
+                   .has_value());
 }
 
 TEST(GraphDoctorTest, BuildGraphRejectPolicyFailsOnLoops) {
