@@ -167,8 +167,11 @@ int64_t EstimateHostBytes(const Graph& g) {
       2 * m * static_cast<int64_t>(sizeof(VertexId));
   const int64_t directed_adj = m * static_cast<int64_t>(sizeof(VertexId));
   const int64_t perms = 2 * n * static_cast<int64_t>(sizeof(VertexId));
-  // Input CSR + oriented copy + relabeled copy (each with offsets) + the
-  // direction rank and ordering permutations.
+  // Input CSR + two directed CSRs (each with offsets) + the direction rank
+  // and ordering permutations. The fused orient+relabel build holds only one
+  // directed CSR (the relabeled one) plus n-sized helpers (out-degrees, the
+  // inverse permutation), so the second CSR term over-reserves: a deliberate
+  // upper bound that admission keeps until it is re-measured.
   return (offsets + undirected_adj) + 2 * (offsets + directed_adj) + perms;
 }
 
@@ -181,14 +184,15 @@ int64_t EstimateHostBytesCached(const Graph& g) {
   const int64_t directed_adj = m * static_cast<int64_t>(sizeof(VertexId));
   const int64_t perm = n * static_cast<int64_t>(sizeof(VertexId));
   // Input CSR + the one relabeled copy FromParts builds + the permutation
-  // copy; no intermediate oriented graph and no direction rank on a hit.
+  // copy; no direction rank on a hit.
   return (offsets + undirected_adj) + (offsets + directed_adj) + perm;
 }
 
 StatusOr<ExecutionResult> ExecuteResilient(
     const Graph& g, const DeviceSpec& spec, const ExecutionPolicy& policy,
     const std::vector<FallbackStage>& chain,
-    const PreprocessOptions& base_options, ExecutionTrace* trace_out) {
+    const PreprocessOptions& base_options, ExecutionTrace* trace_out,
+    const GraphDigest* digest) {
   if (chain.empty()) {
     return InvalidArgumentError("fallback chain is empty");
   }
@@ -217,6 +221,13 @@ StatusOr<ExecutionResult> ExecuteResilient(
     }
   }
 
+  // Every cache key of this execution comes from one digest of `g`.
+  GraphDigest own_digest;
+  if (digest == nullptr && base_options.prep_cache != nullptr) {
+    own_digest = DigestGraph(g);
+    digest = &own_digest;
+  }
+
   if (policy.mem_budget_bytes > 0) {
     // A base-options cache hit skips the preprocessing recompute, so it
     // peaks lower; degraded variants key separately and may still recompute,
@@ -224,7 +235,7 @@ StatusOr<ExecutionResult> ExecuteResilient(
     const bool base_cached =
         base_options.prep_cache != nullptr &&
         base_options.prep_cache->Contains(
-            PrepFingerprint(g, spec, base_options));
+            PrepFingerprint(g, *digest, spec, base_options));
     const int64_t needed =
         base_cached ? EstimateHostBytesCached(g) : EstimateHostBytes(g);
     if (needed > policy.mem_budget_bytes) {
@@ -291,7 +302,7 @@ StatusOr<ExecutionResult> ExecuteResilient(
         }
         return RunTriangleCountWithContext(g, stage.algorithm, spec,
                                            DegradedOptions(base_options, variant),
-                                           attempt_ctx);
+                                           attempt_ctx, digest);
       }();
       record.elapsed_ms = attempt_timer.ElapsedMillis();
 

@@ -103,16 +103,17 @@ struct ExecutionResult {
   std::string variant;
 };
 
-/// Bytes of host memory the pipeline peaks at for `g`: the undirected CSR,
-/// the oriented copy, the relabeled copy and the permutation arrays. An
-/// estimate (helper vectors are excluded), but a faithful lower bound —
-/// the quantity ExecutionPolicy::mem_budget_bytes is checked against.
+/// Bytes of host memory the pipeline peaks at for `g`, the quantity
+/// ExecutionPolicy::mem_budget_bytes is checked against: the undirected
+/// CSR, two directed CSRs and the permutation arrays. Preprocessing builds
+/// the relabeled CSR in one pass without an oriented copy, so this is a
+/// conservative upper bound, not an exact peak.
 int64_t EstimateHostBytes(const Graph& g);
 
 /// EstimateHostBytes for a request whose preprocessing artifact is already
 /// cached: the hit path rebuilds the final CSR straight from the artifact
-/// (DirectedGraph::FromParts), so the peak drops the intermediate oriented
-/// copy and the direction-rank array that only the recompute holds. This is
+/// (DirectedGraph::FromParts), so the peak drops the second directed CSR
+/// and the direction-rank array that the cold estimate reserves. This is
 /// the quantity admission should reserve for cache-hit requests — reserving
 /// the cold estimate double-counts the directed graph.
 int64_t EstimateHostBytesCached(const Graph& g);
@@ -134,12 +135,17 @@ int64_t EstimateHostBytesCached(const Graph& g);
 /// On success returns the first accepted run; otherwise the last attempt's
 /// error (deadline/cancel) or ResourceExhausted naming the exhausted chain.
 /// `trace_out` (optional) receives the full attempt log either way.
+///
+/// With a prep cache in `base_options`, `g` is digested (DigestGraph) once
+/// and every cache key of the execution is built from that digest; a caller
+/// that already holds DigestGraph(g) passes it as `digest`.
 StatusOr<ExecutionResult> ExecuteResilient(const Graph& g,
                                            const DeviceSpec& spec,
                                            const ExecutionPolicy& policy,
                                            const std::vector<FallbackStage>& chain,
                                            const PreprocessOptions& base_options,
-                                           ExecutionTrace* trace_out = nullptr);
+                                           ExecutionTrace* trace_out = nullptr,
+                                           const GraphDigest* digest = nullptr);
 
 }  // namespace gputc
 

@@ -41,7 +41,8 @@ StatusOr<RunResult> RunTriangleCountWithContext(const Graph& g,
                                                 TcAlgorithm algorithm,
                                                 const DeviceSpec& spec,
                                                 const PreprocessOptions& options,
-                                                const ExecContext& ctx) {
+                                                const ExecContext& ctx,
+                                                const GraphDigest* digest) {
   RunResult result;
   if (algorithm == TcAlgorithm::kFox &&
       options.ordering == OrderingStrategy::kAOrder) {
@@ -50,7 +51,7 @@ StatusOr<RunResult> RunTriangleCountWithContext(const Graph& g,
     PreprocessOptions vertex_options = options;
     vertex_options.ordering = OrderingStrategy::kOriginal;
     GPUTC_ASSIGN_OR_RETURN(result.preprocess,
-                           TryPreprocess(g, spec, vertex_options, ctx));
+                           TryPreprocess(g, spec, vertex_options, ctx, digest));
 
     ResourceModel model = ResourceModel::Default();
     if (options.calibrate) {
@@ -89,7 +90,7 @@ StatusOr<RunResult> RunTriangleCountWithContext(const Graph& g,
   }
 
   GPUTC_ASSIGN_OR_RETURN(result.preprocess,
-                         TryPreprocess(g, spec, options, ctx));
+                         TryPreprocess(g, spec, options, ctx, digest));
   Timer count_timer;
   Span count_span = StartSpan(ctx, "count");
   count_span.SetAttr("algorithm", ToString(algorithm));

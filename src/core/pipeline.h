@@ -40,10 +40,12 @@ RunResult RunTriangleCount(const Graph& g, TcAlgorithm algorithm,
 /// cancellations, injected faults and count-limit overflows surface as
 /// Status. Does NOT validate `g` — the executor (and TryRunTriangleCount)
 /// validate once up front; calling this directly with an untrusted graph is
-/// undefined exactly like RunTriangleCount.
+/// undefined exactly like RunTriangleCount. `digest` (optional) is passed on
+/// to TryPreprocess.
 StatusOr<RunResult> RunTriangleCountWithContext(
     const Graph& g, TcAlgorithm algorithm, const DeviceSpec& spec,
-    const PreprocessOptions& options, const ExecContext& ctx);
+    const PreprocessOptions& options, const ExecContext& ctx,
+    const GraphDigest* digest = nullptr);
 
 /// Validated front door for untrusted graphs: runs GraphDoctor over `g`
 /// first (CSR integrity, self loops, symmetry, triangle-count overflow risk)

@@ -101,6 +101,16 @@ struct PrepCacheKey {
   std::string id;  // 16 hex digits, filesystem-safe.
 };
 
+/// The graph half of a PrepFingerprint: the CSR section CRCs. One CRC pass
+/// over the arrays; a request computes it once and keys every cache lookup
+/// of its degradation ladder from it.
+struct GraphDigest {
+  uint32_t offsets_crc = 0;
+  uint32_t adj_crc = 0;
+};
+
+GraphDigest DigestGraph(const Graph& g);
+
 /// Fingerprints (graph, device, options). Costs one CRC pass over the CSR
 /// arrays — noise next to the preprocessing it stands in for. The
 /// `prep_cache` pointer itself is excluded; every field that changes the
@@ -109,6 +119,12 @@ struct PrepCacheKey {
 /// degradation ladder keys each rung separately: DegradedOptions edits those
 /// fields, so each variant lands on its own entry.
 PrepCacheKey PrepFingerprint(const Graph& g, const DeviceSpec& spec,
+                             const PreprocessOptions& options);
+
+/// PrepFingerprint from a precomputed `digest` of `g` (DigestGraph(g)):
+/// no pass over the CSR.
+PrepCacheKey PrepFingerprint(const Graph& g, const GraphDigest& digest,
+                             const DeviceSpec& spec,
                              const PreprocessOptions& options);
 
 /// Tier-2 backing store interface (implemented by service/cache_store.h's

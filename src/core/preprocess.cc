@@ -1,8 +1,7 @@
 #include "core/preprocess.h"
 
-#include <numeric>
-
 #include <utility>
+#include <vector>
 
 #include "core/prep_cache.h"
 #include "direction/cost_model.h"
@@ -52,17 +51,21 @@ StatusOr<PreprocessResult> PreprocessWithModel(const Graph& g,
   PreprocessResult result;
   result.lambda = model.lambda();
 
+  // Orientation and relabeling are one pass at the end: the direction
+  // stage yields only the rank and the out-degrees it induces, which are
+  // all that Eq. 1, A-order and Eq. 3 read.
   Timer direction_timer;
-  DirectedGraph directed;
+  std::vector<VertexId> rank;
+  std::vector<EdgeCount> out_degrees;
   {
     Span direct_span = StartSpan(ctx, "direct");
     direct_span.SetAttr("strategy", ToString(options.direction));
     const ExecContext direct_ctx = WithSpan(ctx, direct_span);
-    const std::vector<VertexId> rank =
-        DirectionRank(g, options.direction, options.seed, &direct_ctx);
-    directed = DirectedGraph::FromRank(g, rank);
+    rank = DirectionRank(g, options.direction, options.seed, &direct_ctx);
+    out_degrees = DirectedGraph::OutDegreesFromRank(g, rank);
     result.direction_ms = direction_timer.ElapsedMillis();
-    result.direction_cost = DirectionCost(directed);
+    result.direction_cost =
+        DirectionCostFromOutDegrees(out_degrees, g.num_edges());
     direct_span.SetAttr("cost_eq1", result.direction_cost);
     direct_span.SetAttr("ms", result.direction_ms);
   }
@@ -76,15 +79,16 @@ StatusOr<PreprocessResult> PreprocessWithModel(const Graph& g,
     if (aorder.bucket_size <= 0) aorder.bucket_size = spec.threads_per_block();
     const ExecContext order_ctx = WithSpan(ctx, order_span);
     aorder.exec = &order_ctx;
-    result.vertex_perm = ComputeOrdering(g, directed, options.ordering, model,
-                                         aorder, options.seed);
+    OrderingResult ordering = ComputeOrdering(
+        g, out_degrees, options.ordering, model, aorder, options.seed);
     // A-order packing polls ctx and returns a valid-but-unoptimized
     // permutation when it aborts; surface the stop instead of using it.
     GPUTC_RETURN_IF_ERROR(ctx.CheckContinue("preprocess.ordering"));
-    result.graph = ApplyPermutation(directed, result.vertex_perm);
+    result.vertex_perm = std::move(ordering.perm);
+    result.ordering_cost = ordering.imbalance_cost;
+    result.graph = DirectedGraph::FromRank(g, rank, std::move(out_degrees),
+                                           result.vertex_perm);
     result.ordering_ms = ordering_timer.ElapsedMillis();
-    result.ordering_cost = OrderingImbalanceCost(
-        directed.OutDegrees(), result.vertex_perm, aorder.bucket_size, model);
     order_span.SetAttr("cost_eq3", result.ordering_cost);
     order_span.SetAttr("ms", result.ordering_ms);
   }
@@ -104,12 +108,15 @@ StatusOr<ResourceModel> ResolveModel(const DeviceSpec& spec,
 StatusOr<PreprocessResult> TryPreprocess(const Graph& g,
                                          const DeviceSpec& spec,
                                          const PreprocessOptions& options,
-                                         const ExecContext& ctx) {
+                                         const ExecContext& ctx,
+                                         const GraphDigest* digest) {
   GPUTC_INJECT_FAULT("preprocess");
   GPUTC_RETURN_IF_ERROR(ctx.CheckContinue("preprocess"));
 
   if (options.prep_cache != nullptr) {
-    const PrepCacheKey key = PrepFingerprint(g, spec, options);
+    const PrepCacheKey key =
+        digest != nullptr ? PrepFingerprint(g, *digest, spec, options)
+                          : PrepFingerprint(g, spec, options);
     GPUTC_ASSIGN_OR_RETURN(
         const std::shared_ptr<const PrepArtifact> artifact,
         options.prep_cache->GetOrCompute(key, ctx, [&]() {

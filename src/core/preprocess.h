@@ -16,7 +16,8 @@
 
 namespace gputc {
 
-class PrepCache;  // core/prep_cache.h
+class PrepCache;     // core/prep_cache.h
+struct GraphDigest;  // core/prep_cache.h
 
 /// Configuration of the paper's preprocessing pipeline: orient the graph
 /// (Section 4), then reorder vertices (Section 5). Either step can be set to
@@ -49,8 +50,8 @@ struct PreprocessResult {
   /// old id -> new id mapping applied to the vertices.
   Permutation vertex_perm;
 
-  double direction_ms = 0.0;  // Host time of the directing step.
-  double ordering_ms = 0.0;   // Host time of the ordering step.
+  double direction_ms = 0.0;  // Host time of the rank and its out-degrees.
+  double ordering_ms = 0.0;   // Ordering plus the fused orient+relabel build.
   double total_ms = 0.0;      // Sum, i.e. the paper's "preprocessing time".
 
   double direction_cost = 0.0;  // Eq. 1 of the produced orientation.
@@ -65,11 +66,14 @@ PreprocessResult Preprocess(const Graph& g, const DeviceSpec& spec,
 /// Preprocess under an execution envelope: calibration goes through the
 /// "sim.memory" fail point, "preprocess" injects at entry, and A-order's
 /// bucket packing polls `ctx`. A deadline expiry or cancellation observed
-/// anywhere inside surfaces as the corresponding Status.
+/// anywhere inside surfaces as the corresponding Status. `digest`
+/// (optional) is the caller's DigestGraph(g), so a request that already
+/// fingerprinted `g` does not CRC it again for the cache key.
 StatusOr<PreprocessResult> TryPreprocess(const Graph& g,
                                          const DeviceSpec& spec,
                                          const PreprocessOptions& options,
-                                         const ExecContext& ctx);
+                                         const ExecContext& ctx,
+                                         const GraphDigest* digest = nullptr);
 
 /// Edge-unit A-order for Fox's algorithm (Section 6.4, Figure 15): balances
 /// per-arc search-list lengths across blocks. Returns the processing order

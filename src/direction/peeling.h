@@ -41,8 +41,14 @@ struct PeelingResult {
 /// equal-degree frontier edges ambiguous, which can create a directed
 /// 3-cycle; ordering by pop time is a strict total order, so the orientation
 /// is acyclic while preserving the paper's small-degree -> large-degree
-/// intent (see DESIGN.md, "A-direction acyclicity"). Runs in
-/// O(|E| + |V| log |V|).
+/// intent (see DESIGN.md, "A-direction acyclicity").
+///
+/// Sort-free: each frontier is ordered by a stable counting sort over the
+/// residuals at or below the threshold, and every round scans only the
+/// vertices still unpeeled. That is O(|E| + d_max + sum_r |V_r|), with V_r
+/// the vertices alive at round r: at most O(|E| + |V| * R) for R rounds,
+/// and close to O(|E| + |V|) when, as on skewed graphs, most vertices go in
+/// the first rounds.
 PeelingResult ADirectionPeel(const Graph& g, const PeelingOptions& options = {});
 
 }  // namespace gputc

@@ -2,38 +2,76 @@
 
 #include <algorithm>
 
+#include "graph/permutation.h"
 #include "util/logging.h"
 
 namespace gputc {
 
-DirectedGraph DirectedGraph::FromRank(const Graph& g,
-                                      const std::vector<VertexId>& rank) {
+namespace {
+
+/// Edge {u, v} points u -> v. Ties in rank are broken by vertex id so the
+/// order is strict and the orientation acyclic even if a caller passes
+/// duplicate ranks. Bitwise, so that counting out-degrees does not branch
+/// on what is a coin flip to the predictor.
+bool PointsOut(const std::vector<VertexId>& rank, VertexId u, VertexId v) {
+  return (rank[u] < rank[v]) | ((rank[u] == rank[v]) & (u < v));
+}
+
+}  // namespace
+
+std::vector<EdgeCount> DirectedGraph::OutDegreesFromRank(
+    const Graph& g, const std::vector<VertexId>& rank) {
   GPUTC_CHECK_EQ(rank.size(), static_cast<size_t>(g.num_vertices()));
-  DirectedGraph d;
-  const VertexId n = g.num_vertices();
-  d.num_edges_ = g.num_edges();
-  d.offsets_.assign(static_cast<size_t>(n) + 1, 0);
-  // Ties in rank are broken by vertex id so the order is strict and the
-  // orientation acyclic even if a caller passes duplicate ranks.
-  auto points_out = [&rank](VertexId u, VertexId v) {
-    return rank[u] < rank[v] || (rank[u] == rank[v] && u < v);
-  };
-  for (VertexId u = 0; u < n; ++u) {
+  std::vector<EdgeCount> out_degrees(g.num_vertices(), 0);
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
     for (VertexId v : g.neighbors(u)) {
-      if (points_out(u, v)) ++d.offsets_[u + 1];
+      out_degrees[u] += PointsOut(rank, u, v);
     }
   }
+  return out_degrees;
+}
+
+DirectedGraph DirectedGraph::FromRank(const Graph& g,
+                                      const std::vector<VertexId>& rank) {
+  return FromRank(g, rank, OutDegreesFromRank(g, rank),
+                  IdentityPermutation(g.num_vertices()));
+}
+
+DirectedGraph DirectedGraph::FromRank(const Graph& g,
+                                      const std::vector<VertexId>& rank,
+                                      std::vector<EdgeCount> out_degrees,
+                                      const std::vector<VertexId>& perm) {
+  const VertexId n = g.num_vertices();
+  GPUTC_CHECK_EQ(rank.size(), static_cast<size_t>(n));
+  GPUTC_CHECK_EQ(out_degrees.size(), static_cast<size_t>(n));
+  GPUTC_CHECK_EQ(perm.size(), static_cast<size_t>(n));
+  DirectedGraph d;
+  d.num_edges_ = g.num_edges();
+  d.offsets_.assign(static_cast<size_t>(n) + 1, 0);
+  for (VertexId u = 0; u < n; ++u) d.offsets_[perm[u] + 1] = out_degrees[u];
+  out_degrees = {};
   for (size_t i = 1; i < d.offsets_.size(); ++i) {
     d.offsets_[i] += d.offsets_[i - 1];
   }
-  d.adj_.resize(static_cast<size_t>(d.offsets_.back()));
-  std::vector<EdgeCount> cursor(d.offsets_.begin(), d.offsets_.end() - 1);
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v : g.neighbors(u)) {
-      if (points_out(u, v)) d.adj_[static_cast<size_t>(cursor[u]++)] = v;
+  GPUTC_CHECK_EQ(d.offsets_.back(), g.num_edges());
+  d.adj_.resize(static_cast<size_t>(g.num_edges()));
+  {
+    // Walk targets in new-id order: arc u -> v lands in row perm[u] as
+    // perm[v], so every row fills in ascending order. offsets_[r] serves as
+    // row r's fill cursor and ends at row r's end, i.e. offsets_[r + 1].
+    const Permutation inverse = InversePermutation(perm);
+    for (VertexId j = 0; j < n; ++j) {
+      const VertexId v = inverse[j];
+      for (VertexId u : g.neighbors(v)) {
+        if (PointsOut(rank, u, v)) {
+          d.adj_[static_cast<size_t>(d.offsets_[perm[u]]++)] = j;
+        }
+      }
     }
   }
-  // Source adjacency is id-sorted, so each out list is already id-sorted.
+  std::move_backward(d.offsets_.begin(), d.offsets_.end() - 1,
+                     d.offsets_.end());
+  d.offsets_.front() = 0;
   return d;
 }
 

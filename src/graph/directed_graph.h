@@ -29,6 +29,22 @@ class DirectedGraph {
   static DirectedGraph FromRank(const Graph& g,
                                 const std::vector<VertexId>& rank);
 
+  /// Orients `g` by `rank` and relabels vertex v to perm[v] in one pass:
+  /// the result equals ApplyPermutation(FromRank(g, rank), perm) without
+  /// building the oriented copy. `out_degrees` must be
+  /// OutDegreesFromRank(g, rank); it only sizes the rows and is released
+  /// before the adjacency is allocated. Rows come out sorted because new
+  /// ids are appended in ascending order.
+  static DirectedGraph FromRank(const Graph& g,
+                                const std::vector<VertexId>& rank,
+                                std::vector<EdgeCount> out_degrees,
+                                const std::vector<VertexId>& perm);
+
+  /// Out-degree of every vertex under the orientation FromRank(g, rank)
+  /// builds, computed without building it.
+  static std::vector<EdgeCount> OutDegreesFromRank(
+      const Graph& g, const std::vector<VertexId>& rank);
+
   /// Assembles a DirectedGraph from raw CSR parts. `offsets` has n+1 entries
   /// ending at adj.size(); each out list must be sorted by id. Used by
   /// relabeling, which must preserve an arbitrary orientation exactly.

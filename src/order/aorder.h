@@ -47,7 +47,19 @@ struct AOrderResult {
 /// buckets whose compute and memory demands offset each other. Vertices are
 /// dispatched in descending |mem_sup| so the largest contributions are
 /// placed while the heap still has slack (the paper does not fix a dispatch
-/// order; this is the standard greedy-balancing choice). O(|V| log |V|).
+/// order; this is the standard greedy-balancing choice); ties dispatch in id
+/// order.
+///
+/// No vertex is compared while sorting. mem_sup is a function of out-degree
+/// alone, so it is tabulated once per distinct degree (TabulateByDegree);
+/// the distinct degrees are sorted by |mem_sup| and grouped into classes of
+/// equal mem_sup, and a stable counting sort over the classes yields the
+/// dispatch order. Degrees share a class exactly when their mem_sup values
+/// are equal: out-degrees 0 and 1 always do, because F_c and F_m both clamp
+/// d to max(1, d), so their vertices interleave by id — sorting by degree
+/// alone would put every degree-0 vertex first and change the permutation.
+/// Cost: O(|V| + D log D) for D distinct degrees, plus O(|V| log B) to pack
+/// B = |V| / bucket_size buckets through a heap.
 ///
 /// `out_degrees[v]` is d~(v) in the directed graph the counting kernel will
 /// consume.

@@ -1,5 +1,7 @@
 #include "order/ordering.h"
 
+#include <utility>
+
 #include "order/classic_orders.h"
 #include "util/logging.h"
 
@@ -38,20 +40,16 @@ std::vector<OrderingStrategy> PaperOrderingStrategies() {
           OrderingStrategy::kAOrder};
 }
 
-Permutation ComputeOrdering(const Graph& undirected,
-                            const DirectedGraph& directed,
-                            OrderingStrategy strategy,
-                            const ResourceModel& model,
-                            const AOrderOptions& aorder_options,
+namespace {
+
+/// Every strategy but A-order, whose packing also yields its Eq. 3 cost.
+Permutation ClassicOrdering(const Graph& undirected, OrderingStrategy strategy,
                             uint64_t seed) {
-  GPUTC_CHECK_EQ(undirected.num_vertices(), directed.num_vertices());
   switch (strategy) {
     case OrderingStrategy::kOriginal:
       return IdentityPermutation(undirected.num_vertices());
     case OrderingStrategy::kDegree:
       return DegreeOrder(undirected);
-    case OrderingStrategy::kAOrder:
-      return AOrder(directed.OutDegrees(), model, aorder_options).perm;
     case OrderingStrategy::kDfs:
       return DfsOrder(undirected);
     case OrderingStrategy::kBfsR:
@@ -66,9 +64,44 @@ Permutation ComputeOrdering(const Graph& undirected,
       return RcmOrder(undirected);
     case OrderingStrategy::kRandom:
       return RandomOrder(undirected.num_vertices(), seed);
+    case OrderingStrategy::kAOrder:
+      break;
   }
   GPUTC_LOG(Fatal) << "unhandled ordering strategy";
   return {};
+}
+
+}  // namespace
+
+OrderingResult ComputeOrdering(const Graph& undirected,
+                               const std::vector<EdgeCount>& out_degrees,
+                               OrderingStrategy strategy,
+                               const ResourceModel& model,
+                               const AOrderOptions& aorder_options,
+                               uint64_t seed) {
+  GPUTC_CHECK_EQ(out_degrees.size(),
+                 static_cast<size_t>(undirected.num_vertices()));
+  if (strategy == OrderingStrategy::kAOrder) {
+    AOrderResult aorder = AOrder(out_degrees, model, aorder_options);
+    return {std::move(aorder.perm), aorder.imbalance_cost};
+  }
+  OrderingResult result;
+  result.perm = ClassicOrdering(undirected, strategy, seed);
+  result.imbalance_cost = OrderingImbalanceCost(
+      out_degrees, result.perm, aorder_options.bucket_size, model);
+  return result;
+}
+
+Permutation ComputeOrdering(const Graph& undirected,
+                            const DirectedGraph& directed,
+                            OrderingStrategy strategy,
+                            const ResourceModel& model,
+                            const AOrderOptions& aorder_options,
+                            uint64_t seed) {
+  GPUTC_CHECK_EQ(undirected.num_vertices(), directed.num_vertices());
+  return ComputeOrdering(undirected, directed.OutDegrees(), strategy, model,
+                         aorder_options, seed)
+      .perm;
 }
 
 }  // namespace gputc

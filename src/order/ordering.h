@@ -34,12 +34,30 @@ std::string ToString(OrderingStrategy strategy);
 /// The strategies compared in Tables 5 and 6, in column order.
 std::vector<OrderingStrategy> PaperOrderingStrategies();
 
+/// A computed ordering and its Eq. 3 cost.
+struct OrderingResult {
+  Permutation perm;  // old id -> new id.
+  /// OrderingImbalanceCost of `perm` under the model and bucket size the
+  /// ordering ran with; A-order reports the cost its packing computed.
+  double imbalance_cost = 0.0;
+};
+
 /// Computes the permutation (old id -> new id) for `strategy`.
 ///
-/// `undirected` is the graph being preprocessed; `directed` is its oriented
-/// version, whose out-degrees feed A-order's intensity functions (other
-/// strategies ignore it). `model` supplies F_c / F_m / lambda for A-order.
-/// `seed` only affects kRandom.
+/// `undirected` is the graph being preprocessed; `out_degrees` are the
+/// out-degrees of its orientation (DirectedGraph::OutDegreesFromRank),
+/// which feed A-order's intensity functions and the Eq. 3 cost; no oriented
+/// graph is needed. `model` supplies F_c / F_m / lambda; `aorder_options`
+/// the bucket size (which must be positive). `seed` only affects kRandom.
+OrderingResult ComputeOrdering(const Graph& undirected,
+                               const std::vector<EdgeCount>& out_degrees,
+                               OrderingStrategy strategy,
+                               const ResourceModel& model,
+                               const AOrderOptions& aorder_options = {},
+                               uint64_t seed = 1);
+
+/// The permutation alone, with the out-degrees read from `directed`, the
+/// oriented version of `undirected`.
 Permutation ComputeOrdering(const Graph& undirected,
                             const DirectedGraph& directed,
                             OrderingStrategy strategy,

@@ -64,6 +64,18 @@ double ResourceModel::BandwidthAt(EdgeCount out_degree) const {
          bw_by_log2_len_[static_cast<size_t>(hi)] * frac;
 }
 
+std::vector<EdgeCount> DistinctDegrees(const std::vector<EdgeCount>& degrees) {
+  EdgeCount max_degree = 0;
+  for (EdgeCount d : degrees) max_degree = std::max(max_degree, d);
+  std::vector<char> present(degrees.empty() ? 0 : max_degree + 1, 0);
+  for (EdgeCount d : degrees) present[static_cast<size_t>(d)] = 1;
+  std::vector<EdgeCount> distinct;
+  for (size_t d = 0; d < present.size(); ++d) {
+    if (present[d]) distinct.push_back(static_cast<EdgeCount>(d));
+  }
+  return distinct;
+}
+
 std::vector<BucketCost> BucketCosts(const std::vector<EdgeCount>& out_degrees,
                                     const Permutation& perm, int bucket_size,
                                     const ResourceModel& model) {
@@ -72,11 +84,18 @@ std::vector<BucketCost> BucketCosts(const std::vector<EdgeCount>& out_degrees,
   const size_t n = out_degrees.size();
   const size_t buckets = (n + static_cast<size_t>(bucket_size) - 1) /
                          static_cast<size_t>(bucket_size);
+  const std::vector<BucketCost> by_degree =
+      TabulateByDegree<BucketCost>(
+          DistinctDegrees(out_degrees), [&model](EdgeCount d) {
+        return BucketCost{model.ComputeIntensity(d), model.MemoryIntensity(d)};
+      });
   std::vector<BucketCost> costs(buckets);
   for (VertexId old_id = 0; old_id < n; ++old_id) {
     const size_t bucket = perm[old_id] / static_cast<size_t>(bucket_size);
-    costs[bucket].compute += model.ComputeIntensity(out_degrees[old_id]);
-    costs[bucket].memory += model.MemoryIntensity(out_degrees[old_id]);
+    const BucketCost& vertex =
+        by_degree[static_cast<size_t>(out_degrees[old_id])];
+    costs[bucket].compute += vertex.compute;
+    costs[bucket].memory += vertex.memory;
   }
   return costs;
 }

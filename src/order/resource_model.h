@@ -63,6 +63,24 @@ class ResourceModel {
   std::vector<double> bw_by_log2_len_;
 };
 
+/// The distinct values of `degrees`, ascending. `degrees` are out-degrees
+/// (or arc search lengths) of a graph, so this and every table indexed by
+/// degree are O(|V|).
+std::vector<EdgeCount> DistinctDegrees(const std::vector<EdgeCount>& degrees);
+
+/// Evaluates `fn(d)` once per degree in `distinct` (ascending, as
+/// DistinctDegrees returns it) into a table indexed by degree; other entries
+/// hold T{}. Every per-vertex quantity of the model — F_c, F_m, mem_sup —
+/// depends on out-degree alone, so a vertex pass costs a lookup instead of
+/// a log2 and two sqrt.
+template <typename T, typename Fn>
+std::vector<T> TabulateByDegree(const std::vector<EdgeCount>& distinct,
+                                Fn fn) {
+  std::vector<T> table(distinct.empty() ? 0 : distinct.back() + 1);
+  for (EdgeCount d : distinct) table[static_cast<size_t>(d)] = fn(d);
+  return table;
+}
+
 /// Per-bucket totals of the optimization objective (Eq. 2).
 struct BucketCost {
   double compute = 0.0;  // C_i

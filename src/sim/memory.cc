@@ -1,6 +1,7 @@
 #include "sim/memory.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <unordered_set>
 
@@ -20,12 +21,7 @@ int64_t TransactionsForWarpAccess(std::span<const int64_t> element_indices,
 
 int ProbesForBinarySearch(int64_t len) {
   if (len <= 0) return 0;
-  int probes = 1;
-  while (len > 1) {
-    len >>= 1;
-    ++probes;
-  }
-  return probes;
+  return std::bit_width(static_cast<uint64_t>(len));
 }
 
 int64_t ThreadBinarySearchTransactions(int64_t len, const DeviceSpec& spec) {
@@ -34,14 +30,9 @@ int64_t ThreadBinarySearchTransactions(int64_t len, const DeviceSpec& spec) {
   // Each halving step whose active range still spans > 1 segment lands in a
   // fresh segment; once the range fits one segment all remaining probes are
   // free (the paper's Figure 4: 3 transactions on the long list, 1 on the
-  // short one).
-  int64_t transactions = 1;
-  int64_t range = len;
-  while (range > per_txn) {
-    range >>= 1;
-    ++transactions;
-  }
-  return transactions;
+  // short one). The range len >> k fits once len < (per_txn + 1) * 2^k,
+  // i.e. after bit_width(len / (per_txn + 1)) halvings.
+  return 1 + std::bit_width(static_cast<uint64_t>(len / (per_txn + 1)));
 }
 
 int64_t WarpSharedListSearchTransactions(int64_t len, int active_lanes,

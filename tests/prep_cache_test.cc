@@ -264,6 +264,22 @@ TEST(PrepFingerprintTest, StableForIdenticalInputs) {
   EXPECT_EQ(a.id.size(), 16u);
 }
 
+TEST(PrepFingerprintTest, PrecomputedDigestGivesTheSameKey) {
+  const Graph g = GenerateErdosRenyi(100, 300, 3);
+  const DeviceSpec spec = DeviceSpec::TitanXpLike();
+  const GraphDigest digest = DigestGraph(g);
+  PreprocessOptions options;
+  for (const OrderingStrategy ordering :
+       {OrderingStrategy::kAOrder, OrderingStrategy::kOriginal}) {
+    options.ordering = ordering;
+    const PrepCacheKey direct = PrepFingerprint(g, spec, options);
+    const PrepCacheKey digested = PrepFingerprint(g, digest, spec, options);
+    EXPECT_EQ(digested.canonical, direct.canonical);
+    EXPECT_EQ(digested.hash, direct.hash);
+    EXPECT_EQ(digested.id, direct.id);
+  }
+}
+
 TEST(PrepFingerprintTest, EverySensitiveInputChangesTheKey) {
   const Graph g = GenerateErdosRenyi(100, 300, 3);
   const DeviceSpec spec = DeviceSpec::TitanXpLike();
@@ -773,6 +789,13 @@ TEST(PrepCacheExecutorTest, DegradationRungsGetTheirOwnEntries) {
   ASSERT_TRUE(TryPreprocess(g, spec, no_aorder, ExecContext()).ok());
   EXPECT_TRUE(cache.Contains(PrepFingerprint(g, spec, no_aorder)));
   EXPECT_EQ(cache.stats().misses, 2);
+
+  // A caller-supplied digest resolves to the same entries: both hit.
+  const GraphDigest digest = DigestGraph(g);
+  ASSERT_TRUE(TryPreprocess(g, spec, base, ExecContext(), &digest).ok());
+  ASSERT_TRUE(TryPreprocess(g, spec, no_aorder, ExecContext(), &digest).ok());
+  EXPECT_EQ(cache.stats().misses, 2);
+  EXPECT_EQ(cache.stats().memory_hits, 2);
 }
 
 // The cached-admission estimate must be genuinely cheaper than the cold one

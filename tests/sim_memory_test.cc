@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "sim/device.h"
@@ -37,6 +38,53 @@ TEST(ProbesTest, LogarithmicGrowth) {
   EXPECT_EQ(ProbesForBinarySearch(1), 1);
   EXPECT_EQ(ProbesForBinarySearch(2), 2);
   EXPECT_EQ(ProbesForBinarySearch(1024), 11);
+}
+
+// The halving loops the closed forms replaced.
+int LoopProbes(int64_t len) {
+  if (len <= 0) return 0;
+  int probes = 1;
+  while (len > 1) {
+    len >>= 1;
+    ++probes;
+  }
+  return probes;
+}
+
+int64_t LoopThreadTransactions(int64_t len, int64_t per_txn) {
+  if (len <= 0) return 0;
+  int64_t transactions = 1;
+  for (int64_t range = len; range > per_txn; range >>= 1) ++transactions;
+  return transactions;
+}
+
+TEST(ProbesTest, ClosedFormsMatchHalvingLoopsExhaustively) {
+  // Every preset, plus segment widths the presets do not use.
+  std::vector<DeviceSpec> specs = {DeviceSpec::TitanXpLike(),
+                                   DeviceSpec::MidrangeLike(),
+                                   DeviceSpec::Tiny()};
+  for (const int transaction_bytes : {4, 32, 96, 256}) {
+    DeviceSpec spec;
+    spec.transaction_bytes = transaction_bytes;
+    specs.push_back(spec);
+  }
+  for (int64_t len = -2; len <= (int64_t{1} << 20); ++len) {
+    ASSERT_EQ(ProbesForBinarySearch(len), LoopProbes(len)) << "len " << len;
+  }
+  for (const DeviceSpec& spec : specs) {
+    const int64_t per_txn = spec.elements_per_transaction();
+    for (int64_t len = -2; len <= (int64_t{1} << 20); ++len) {
+      ASSERT_EQ(ThreadBinarySearchTransactions(len, spec),
+                LoopThreadTransactions(len, per_txn))
+          << "len " << len << " per_txn " << per_txn;
+    }
+  }
+  for (const int64_t len : {int64_t{1} << 40, (int64_t{1} << 62) + 7,
+                            std::numeric_limits<int64_t>::max()}) {
+    EXPECT_EQ(ProbesForBinarySearch(len), LoopProbes(len));
+    EXPECT_EQ(ThreadBinarySearchTransactions(len, Spec()),
+              LoopThreadTransactions(len, Spec().elements_per_transaction()));
+  }
 }
 
 TEST(ThreadSearchTest, ShortListIsOneTransaction) {
