@@ -19,7 +19,8 @@ namespace gputc {
 std::vector<int64_t> PerVertexTriangleCounts(const Graph& g);
 
 /// PerVertexTriangleCounts behind the validated front door: GraphDoctor
-/// refuses damaged CSRs with a Status instead of corrupting the counts.
+/// refuses a graph over its caps or at risk of overflowing the counts with
+/// a Status instead of corrupting them.
 StatusOr<std::vector<int64_t>> TryPerVertexTriangleCounts(const Graph& g);
 
 /// Local clustering coefficient of every vertex:

@@ -41,8 +41,8 @@ struct RecommendationOptions {
 std::vector<Recommendation> RecommendLinks(
     const Graph& g, const RecommendationOptions& options = {});
 
-/// RecommendLinks behind the validated front door: GraphDoctor refuses
-/// damaged CSRs with a Status instead of scoring garbage neighborhoods.
+/// RecommendLinks behind the validated front door: GraphDoctor refuses a
+/// graph over its caps or at risk of wedge overflow with a Status.
 StatusOr<std::vector<Recommendation>> TryRecommendLinks(
     const Graph& g, const RecommendationOptions& options = {});
 

@@ -191,8 +191,7 @@ int64_t EstimateHostBytesCached(const Graph& g) {
 StatusOr<ExecutionResult> ExecuteResilient(
     const Graph& g, const DeviceSpec& spec, const ExecutionPolicy& policy,
     const std::vector<FallbackStage>& chain,
-    const PreprocessOptions& base_options, ExecutionTrace* trace_out,
-    const GraphDigest* digest) {
+    const PreprocessOptions& base_options, ExecutionTrace* trace_out) {
   if (chain.empty()) {
     return InvalidArgumentError("fallback chain is empty");
   }
@@ -205,8 +204,9 @@ StatusOr<ExecutionResult> ExecuteResilient(
     ctx.parent_span = policy.parent_span;
   }
 
-  // Validate once up front: every stage would see the same corrupt CSR, so
-  // invalid input is terminal, not a fallback trigger.
+  // Validate once up front: the caps and the wedge-overflow risk are the
+  // same for every stage, so a failure is terminal, not a fallback trigger.
+  // The CSR itself is canonical because `g` is a Graph.
   {
     if (policy.on_stage) policy.on_stage("validate");
     Span validate_span = StartSpan(ctx, "validate");
@@ -221,13 +221,6 @@ StatusOr<ExecutionResult> ExecuteResilient(
     }
   }
 
-  // Every cache key of this execution comes from one digest of `g`.
-  GraphDigest own_digest;
-  if (digest == nullptr && base_options.prep_cache != nullptr) {
-    own_digest = DigestGraph(g);
-    digest = &own_digest;
-  }
-
   if (policy.mem_budget_bytes > 0) {
     // A base-options cache hit skips the preprocessing recompute, so it
     // peaks lower; degraded variants key separately and may still recompute,
@@ -235,7 +228,7 @@ StatusOr<ExecutionResult> ExecuteResilient(
     const bool base_cached =
         base_options.prep_cache != nullptr &&
         base_options.prep_cache->Contains(
-            PrepFingerprint(g, *digest, spec, base_options));
+            PrepFingerprint(g, spec, base_options));
     const int64_t needed =
         base_cached ? EstimateHostBytesCached(g) : EstimateHostBytes(g);
     if (needed > policy.mem_budget_bytes) {
@@ -302,7 +295,7 @@ StatusOr<ExecutionResult> ExecuteResilient(
         }
         return RunTriangleCountWithContext(g, stage.algorithm, spec,
                                            DegradedOptions(base_options, variant),
-                                           attempt_ctx, digest);
+                                           attempt_ctx);
       }();
       record.elapsed_ms = attempt_timer.ElapsedMillis();
 

@@ -121,8 +121,10 @@ int64_t EstimateHostBytesCached(const Graph& g);
 /// Runs the fallback chain over `g` under `policy`.
 ///
 /// Semantics:
-///  - The graph is validated once up front (GraphDoctor); invalid input
-///    fails immediately — no fallback can fix a corrupt CSR.
+///  - The graph is validated once up front (GraphDoctor::Examine: the
+///    vertex/edge caps and the wedge-overflow risk); a graph that fails
+///    fails immediately, since no fallback could change the verdict. The
+///    CSR is not rescanned: a Graph is canonical by construction.
 ///  - Every attempt runs inside a FailPointScope, so armed fail points
 ///    (GPUTC_FAILPOINTS) inject into it but not into unsuspecting callers.
 ///  - A stage's base attempt uses `base_options`; degraded retries first
@@ -135,17 +137,12 @@ int64_t EstimateHostBytesCached(const Graph& g);
 /// On success returns the first accepted run; otherwise the last attempt's
 /// error (deadline/cancel) or ResourceExhausted naming the exhausted chain.
 /// `trace_out` (optional) receives the full attempt log either way.
-///
-/// With a prep cache in `base_options`, `g` is digested (DigestGraph) once
-/// and every cache key of the execution is built from that digest; a caller
-/// that already holds DigestGraph(g) passes it as `digest`.
 StatusOr<ExecutionResult> ExecuteResilient(const Graph& g,
                                            const DeviceSpec& spec,
                                            const ExecutionPolicy& policy,
                                            const std::vector<FallbackStage>& chain,
                                            const PreprocessOptions& base_options,
-                                           ExecutionTrace* trace_out = nullptr,
-                                           const GraphDigest* digest = nullptr);
+                                           ExecutionTrace* trace_out = nullptr);
 
 }  // namespace gputc
 

@@ -41,8 +41,7 @@ StatusOr<RunResult> RunTriangleCountWithContext(const Graph& g,
                                                 TcAlgorithm algorithm,
                                                 const DeviceSpec& spec,
                                                 const PreprocessOptions& options,
-                                                const ExecContext& ctx,
-                                                const GraphDigest* digest) {
+                                                const ExecContext& ctx) {
   RunResult result;
   if (algorithm == TcAlgorithm::kFox &&
       options.ordering == OrderingStrategy::kAOrder) {
@@ -51,7 +50,7 @@ StatusOr<RunResult> RunTriangleCountWithContext(const Graph& g,
     PreprocessOptions vertex_options = options;
     vertex_options.ordering = OrderingStrategy::kOriginal;
     GPUTC_ASSIGN_OR_RETURN(result.preprocess,
-                           TryPreprocess(g, spec, vertex_options, ctx, digest));
+                           TryPreprocess(g, spec, vertex_options, ctx));
 
     ResourceModel model = ResourceModel::Default();
     if (options.calibrate) {
@@ -90,7 +89,7 @@ StatusOr<RunResult> RunTriangleCountWithContext(const Graph& g,
   }
 
   GPUTC_ASSIGN_OR_RETURN(result.preprocess,
-                         TryPreprocess(g, spec, options, ctx, digest));
+                         TryPreprocess(g, spec, options, ctx));
   Timer count_timer;
   Span count_span = StartSpan(ctx, "count");
   count_span.SetAttr("algorithm", ToString(algorithm));

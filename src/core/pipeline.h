@@ -29,8 +29,8 @@ struct RunResult {
 
 /// Preprocesses `g` per `options` and counts triangles with `algorithm` on
 /// the device `spec`. For Fox (edge reorder unit), an ordering of kAOrder is
-/// applied to *edges* (ComputeEdgeAOrder) instead of relabeling vertices,
-/// matching Section 6.4.
+/// applied to *edges* (FoxCounter::AOrderedEdgeOrder) instead of relabeling
+/// vertices, matching Section 6.4.
 RunResult RunTriangleCount(const Graph& g, TcAlgorithm algorithm,
                            const DeviceSpec& spec,
                            const PreprocessOptions& options = {});
@@ -38,30 +38,28 @@ RunResult RunTriangleCount(const Graph& g, TcAlgorithm algorithm,
 /// The pipeline engine under an execution envelope: preprocessing and the
 /// counter both poll `ctx` and pass every fail-point site, so deadlines,
 /// cancellations, injected faults and count-limit overflows surface as
-/// Status. Does NOT validate `g` — the executor (and TryRunTriangleCount)
-/// validate once up front; calling this directly with an untrusted graph is
-/// undefined exactly like RunTriangleCount. `digest` (optional) is passed on
-/// to TryPreprocess.
+/// Status. Does NOT run GraphDoctor: the executor (and TryRunTriangleCount)
+/// check the counts and the wedge overflow once up front. The CSR itself is
+/// canonical because `g` is a Graph.
 StatusOr<RunResult> RunTriangleCountWithContext(
     const Graph& g, TcAlgorithm algorithm, const DeviceSpec& spec,
-    const PreprocessOptions& options, const ExecContext& ctx,
-    const GraphDigest* digest = nullptr);
+    const PreprocessOptions& options, const ExecContext& ctx);
 
-/// Validated front door for untrusted graphs: runs GraphDoctor over `g`
-/// first (CSR integrity, self loops, symmetry, triangle-count overflow risk)
-/// and refuses with a context-bearing Status instead of feeding a damaged
-/// graph to the kernels. Graphs built by this library's loaders/generators
-/// always pass; hand-assembled CSRs may not.
+/// Checked front door: runs GraphDoctor::Examine over `g` first and refuses
+/// with a context-bearing Status when the vertex or edge count is over the
+/// default caps or the wedge count could overflow the int64 triangle sum.
+/// The CSR structure needs no check here: a Graph is canonical by
+/// construction, and untrusted bytes are checked where they become one
+/// (Graph::FromCsr, LoadBinary).
 StatusOr<RunResult> TryRunTriangleCount(const Graph& g, TcAlgorithm algorithm,
                                         const DeviceSpec& spec,
                                         const PreprocessOptions& options = {});
 
 /// Convenience facade: preprocess with the paper's defaults (A-direction +
 /// A-order) and count with Hu's algorithm; returns just the triangle count.
-/// Routes through the validated front door: a graph that fails GraphDoctor
-/// (hand-assembled CSRs with broken offsets, self loops, asymmetry, ...)
-/// fatally aborts with the validation report instead of corrupting the
-/// kernels. Callers that need to recover use TryRunTriangleCount.
+/// Routes through the checked front door: a graph over the caps or at risk
+/// of overflowing the triangle sum fatally aborts with the validation
+/// report. Callers that need to recover use TryRunTriangleCount.
 int64_t CountTriangles(const Graph& g);
 
 }  // namespace gputc

@@ -186,22 +186,7 @@ StatusOr<PrepArtifact> DecodePrepArtifact(std::string_view bytes) {
   return artifact;
 }
 
-GraphDigest DigestGraph(const Graph& g) {
-  // The graph digest reuses the exact section CRCs the v2 binary format
-  // frames the CSR with (graph/io.cc): a graph loaded from disk fingerprints
-  // to the same digest its file sections carry.
-  return {
-      Crc32c(g.offsets().data(), g.offsets().size() * sizeof(EdgeCount)),
-      Crc32c(g.adjacency().data(), g.adjacency().size() * sizeof(VertexId))};
-}
-
 PrepCacheKey PrepFingerprint(const Graph& g, const DeviceSpec& spec,
-                             const PreprocessOptions& options) {
-  return PrepFingerprint(g, DigestGraph(g), spec, options);
-}
-
-PrepCacheKey PrepFingerprint(const Graph& g, const GraphDigest& digest,
-                             const DeviceSpec& spec,
                              const PreprocessOptions& options) {
   // Fingerprint the *effective* bucket size: an explicit bucket equal to the
   // device default and a defaulted one produce the same artifact.
@@ -213,7 +198,7 @@ PrepCacheKey PrepFingerprint(const Graph& g, const GraphDigest& digest,
   std::snprintf(head, sizeof(head),
                 "prep-cache v%d|n=%u|m=%" PRId64 "|offcrc=%08x|adjcrc=%08x",
                 kPrepCacheSchemaVersion, g.num_vertices(), g.num_edges(),
-                digest.offsets_crc, digest.adj_crc);
+                g.digest().offsets_crc, g.digest().adj_crc);
   PrepCacheKey key;
   key.canonical = head;
   key.canonical += "|dir=";

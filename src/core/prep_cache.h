@@ -41,8 +41,8 @@ namespace gputc {
 //    after a fill. Corruption there is *never* an error for the caller: a
 //    DataLoss load falls back to recompute and the artifact is re-written.
 //
-// Keys are content fingerprints, not names: the CRC digest of the graph's
-// CSR sections (the same Crc32c the v2 binary format frames them with),
+// Keys are content fingerprints, not names: Graph::digest() (the CRC32Cs
+// the v2 binary format frames the CSR sections with, set at construction),
 // every PreprocessOptions field that changes the artifact, the full
 // calibration DeviceSpec, and a code-schema version — so a one-edge edit, a
 // flag flip, a different device, or an artifact-format change each miss
@@ -101,30 +101,14 @@ struct PrepCacheKey {
   std::string id;  // 16 hex digits, filesystem-safe.
 };
 
-/// The graph half of a PrepFingerprint: the CSR section CRCs. One CRC pass
-/// over the arrays; a request computes it once and keys every cache lookup
-/// of its degradation ladder from it.
-struct GraphDigest {
-  uint32_t offsets_crc = 0;
-  uint32_t adj_crc = 0;
-};
-
-GraphDigest DigestGraph(const Graph& g);
-
-/// Fingerprints (graph, device, options). Costs one CRC pass over the CSR
-/// arrays — noise next to the preprocessing it stands in for. The
-/// `prep_cache` pointer itself is excluded; every field that changes the
-/// artifact (direction, ordering, bucket size, sort flag, calibrate, seed,
-/// full DeviceSpec) is included, which is exactly why the executor's
-/// degradation ladder keys each rung separately: DegradedOptions edits those
-/// fields, so each variant lands on its own entry.
+/// Fingerprints (graph, device, options). The graph half is g.digest(), so
+/// the key costs no pass over the CSR. The `prep_cache` pointer itself is
+/// excluded; every field that changes the artifact (direction, ordering,
+/// bucket size, sort flag, calibrate, seed, full DeviceSpec) is included,
+/// which is exactly why the executor's degradation ladder keys each rung
+/// separately: DegradedOptions edits those fields, so each variant lands on
+/// its own entry.
 PrepCacheKey PrepFingerprint(const Graph& g, const DeviceSpec& spec,
-                             const PreprocessOptions& options);
-
-/// PrepFingerprint from a precomputed `digest` of `g` (DigestGraph(g)):
-/// no pass over the CSR.
-PrepCacheKey PrepFingerprint(const Graph& g, const GraphDigest& digest,
-                             const DeviceSpec& spec,
                              const PreprocessOptions& options);
 
 /// Tier-2 backing store interface (implemented by service/cache_store.h's

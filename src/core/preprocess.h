@@ -16,8 +16,7 @@
 
 namespace gputc {
 
-class PrepCache;     // core/prep_cache.h
-struct GraphDigest;  // core/prep_cache.h
+class PrepCache;  // core/prep_cache.h
 
 /// Configuration of the paper's preprocessing pipeline: orient the graph
 /// (Section 4), then reorder vertices (Section 5). Either step can be set to
@@ -66,23 +65,11 @@ PreprocessResult Preprocess(const Graph& g, const DeviceSpec& spec,
 /// Preprocess under an execution envelope: calibration goes through the
 /// "sim.memory" fail point, "preprocess" injects at entry, and A-order's
 /// bucket packing polls `ctx`. A deadline expiry or cancellation observed
-/// anywhere inside surfaces as the corresponding Status. `digest`
-/// (optional) is the caller's DigestGraph(g), so a request that already
-/// fingerprinted `g` does not CRC it again for the cache key.
+/// anywhere inside surfaces as the corresponding Status.
 StatusOr<PreprocessResult> TryPreprocess(const Graph& g,
                                          const DeviceSpec& spec,
                                          const PreprocessOptions& options,
-                                         const ExecContext& ctx,
-                                         const GraphDigest* digest = nullptr);
-
-/// Edge-unit A-order for Fox's algorithm (Section 6.4, Figure 15): balances
-/// per-arc search-list lengths across blocks. Returns the processing order
-/// of arc indices (CSR order in `g`). `exec` (optional, not owned) is polled
-/// during bucket packing.
-std::vector<int64_t> ComputeEdgeAOrder(const DirectedGraph& g,
-                                       const ResourceModel& model,
-                                       int bucket_size,
-                                       const ExecContext* exec = nullptr);
+                                         const ExecContext& ctx);
 
 }  // namespace gputc
 

@@ -2,6 +2,7 @@
 #define GPUTC_GRAPH_DIRECTED_GRAPH_H_
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -77,8 +78,12 @@ class DirectedGraph {
   /// Out-degree vector d~(v) for all v, used by cost models and A-order.
   std::vector<EdgeCount> OutDegrees() const;
 
-  const std::vector<EdgeCount>& offsets() const { return offsets_; }
-  const std::vector<VertexId>& adjacency() const { return adj_; }
+  const std::vector<EdgeCount>& offsets() const& { return offsets_; }
+  const std::vector<VertexId>& adjacency() const& { return adj_; }
+  /// Move the arrays out of an expiring graph, e.g.
+  /// `std::move(g).adjacency()`; each may be taken once.
+  std::vector<EdgeCount> offsets() && { return std::move(offsets_); }
+  std::vector<VertexId> adjacency() && { return std::move(adj_); }
 
  private:
   EdgeCount num_edges_ = 0;

@@ -6,9 +6,18 @@
 #include <utility>
 
 #include "graph/validate.h"
+#include "util/durable_file.h"
 #include "util/logging.h"
 
 namespace gputc {
+
+GraphDigest DigestCsr(std::span<const EdgeCount> offsets,
+                      std::span<const VertexId> adj) {
+  return {Crc32c(offsets.data(), offsets.size_bytes()),
+          Crc32c(adj.data(), adj.size_bytes())};
+}
+
+Graph::Graph() : digest_(DigestCsr(offsets_, adj_)) {}
 
 Graph Graph::FromEdgeList(EdgeList edges) {
   edges.Normalize();
@@ -33,11 +42,18 @@ Graph Graph::FromEdgeList(EdgeList edges) {
   // u < v, so row x first receives its smaller neighbors u (from edges
   // (u, x), all of which precede the edges (x, v)) in ascending order, then
   // its larger neighbors v in ascending order.
+  g.digest_ = DigestCsr(g.offsets_, g.adj_);
   return g;
 }
 
 StatusOr<Graph> Graph::FromCsr(std::vector<EdgeCount> offsets,
                                std::vector<VertexId> adj) {
+  return AdoptCsr(std::move(offsets), std::move(adj), std::nullopt);
+}
+
+StatusOr<Graph> Graph::AdoptCsr(std::vector<EdgeCount> offsets,
+                                std::vector<VertexId> adj,
+                                std::optional<GraphDigest> verified) {
   const uint64_t n = offsets.empty() ? 0 : offsets.size() - 1;
   GPUTC_RETURN_IF_ERROR(
       GraphDoctor::CheckCsr(n, adj.size() / 2, offsets, adj));
@@ -54,6 +70,7 @@ StatusOr<Graph> Graph::FromCsr(std::vector<EdgeCount> offsets,
   g.num_edges_ = static_cast<EdgeCount>(adj.size() / 2);
   g.offsets_ = std::move(offsets);
   g.adj_ = std::move(adj);
+  g.digest_ = verified ? *verified : DigestCsr(g.offsets_, g.adj_);
   return g;
 }
 

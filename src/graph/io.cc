@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -273,8 +274,8 @@ Status SaveBinaryDurable(const Graph& g, const std::string& path) {
   AppendScalar<uint32_t>(&header, kFlagFinalized);
   AppendScalar<uint64_t>(&header, n);
   AppendScalar<uint64_t>(&header, m);
-  AppendScalar<uint32_t>(&header, Crc32c(offsets_bytes, offsets_size));
-  AppendScalar<uint32_t>(&header, Crc32c(adj_bytes, adj_size));
+  AppendScalar<uint32_t>(&header, g.digest().offsets_crc);
+  AppendScalar<uint32_t>(&header, g.digest().adj_crc);
   AppendScalar<uint32_t>(&header, 0);  // Reserved.
   AppendScalar<uint32_t>(&header, Crc32c(header.data(), header.size()));
 
@@ -344,10 +345,11 @@ Status ReadBinaryV1(std::istream& in, uint64_t file_size,
 /// v2 path: header CRC, finalized flag, and per-section CRCs are all
 /// verified before the structural checks, each failure with its own
 /// precise message — a torn save, a bit flip in the payload, and a damaged
-/// header are distinguishable in the Status alone.
-Status ReadBinaryV2(std::istream& in, uint64_t file_size,
-                    std::vector<EdgeCount>* offsets,
-                    std::vector<VertexId>* adj) {
+/// header are distinguishable in the Status alone. Returns the verified
+/// section CRCs.
+StatusOr<GraphDigest> ReadBinaryV2(std::istream& in, uint64_t file_size,
+                                   std::vector<EdgeCount>* offsets,
+                                   std::vector<VertexId>* adj) {
   if (file_size < kHeaderBytesV2) {
     std::ostringstream msg;
     msg << "truncated v2 header: file is " << file_size << " bytes, need "
@@ -388,23 +390,20 @@ Status ReadBinaryV2(std::istream& in, uint64_t file_size,
   GPUTC_RETURN_IF_ERROR(
       ReadSections(in, file_size, kHeaderBytesV2, n, m, offsets, adj));
 
-  const uint32_t offsets_crc =
-      Crc32c(offsets->data(), offsets->size() * sizeof(EdgeCount));
-  if (offsets_crc != stored_offsets_crc) {
+  const GraphDigest computed = DigestCsr(*offsets, *adj);
+  if (computed.offsets_crc != stored_offsets_crc) {
     std::ostringstream msg;
     msg << "CSR offsets CRC mismatch: stored " << HexU64(stored_offsets_crc)
-        << ", computed " << HexU64(offsets_crc) << " (bit rot?)";
+        << ", computed " << HexU64(computed.offsets_crc) << " (bit rot?)";
     return DataLossError(msg.str());
   }
-  const uint32_t adj_crc =
-      Crc32c(adj->data(), adj->size() * sizeof(VertexId));
-  if (adj_crc != stored_adj_crc) {
+  if (computed.adj_crc != stored_adj_crc) {
     std::ostringstream msg;
     msg << "CSR adjacency CRC mismatch: stored " << HexU64(stored_adj_crc)
-        << ", computed " << HexU64(adj_crc) << " (bit rot?)";
+        << ", computed " << HexU64(computed.adj_crc) << " (bit rot?)";
     return DataLossError(msg.str());
   }
-  return OkStatus();
+  return computed;
 }
 
 std::string BinaryContext(const std::string& path) {
@@ -414,11 +413,13 @@ std::string BinaryContext(const std::string& path) {
 /// Reads either binary version up to, not including, the CSR checks: the
 /// header is checked against the file size and caps before any allocation,
 /// and v2 section CRCs are verified. `offsets` gets n+1 entries, `adj` 2m.
-Status ReadBinaryCsr(const std::string& path, std::vector<EdgeCount>* offsets,
-                     std::vector<VertexId>* adj) {
+/// Returns a v2 file's verified section CRCs; a v1 file has none.
+StatusOr<std::optional<GraphDigest>> ReadBinaryCsr(
+    const std::string& path, std::vector<EdgeCount>* offsets,
+    std::vector<VertexId>* adj) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return NotFoundError("cannot open '" + path + "'");
-  const auto read = [&]() -> Status {
+  const auto read = [&]() -> StatusOr<std::optional<GraphDigest>> {
     in.seekg(0, std::ios::end);
     const auto end_pos = in.tellg();
     in.seekg(0, std::ios::beg);
@@ -437,10 +438,13 @@ Status ReadBinaryCsr(const std::string& path, std::vector<EdgeCount>* offsets,
     in.seekg(0, std::ios::beg);
 
     if (magic == kBinaryMagicV2) {
-      return ReadBinaryV2(in, file_size, offsets, adj);
+      GPUTC_ASSIGN_OR_RETURN(const GraphDigest verified,
+                             ReadBinaryV2(in, file_size, offsets, adj));
+      return std::optional<GraphDigest>(verified);
     }
     if (magic == kBinaryMagic) {
-      return ReadBinaryV1(in, file_size, path, offsets, adj);
+      GPUTC_RETURN_IF_ERROR(ReadBinaryV1(in, file_size, path, offsets, adj));
+      return std::optional<GraphDigest>();
     }
     std::ostringstream msg;
     msg << "bad magic " << HexU64(magic) << ", want "
@@ -448,7 +452,9 @@ Status ReadBinaryCsr(const std::string& path, std::vector<EdgeCount>* offsets,
         << " (v1)";
     return DataLossError(msg.str());
   };
-  return read().WithContext(BinaryContext(path));
+  StatusOr<std::optional<GraphDigest>> digest = read();
+  if (!digest.ok()) return digest.status().WithContext(BinaryContext(path));
+  return digest;
 }
 
 }  // namespace
@@ -456,7 +462,7 @@ Status ReadBinaryCsr(const std::string& path, std::vector<EdgeCount>* offsets,
 StatusOr<EdgeList> LoadBinaryEdgeList(const std::string& path) {
   std::vector<EdgeCount> offsets;
   std::vector<VertexId> adj;
-  GPUTC_RETURN_IF_ERROR(ReadBinaryCsr(path, &offsets, &adj));
+  GPUTC_RETURN_IF_ERROR(ReadBinaryCsr(path, &offsets, &adj).status());
   const uint64_t n = offsets.size() - 1;
   GPUTC_RETURN_IF_ERROR(GraphDoctor::CheckCsr(n, adj.size() / 2, offsets, adj)
                             .WithContext(BinaryContext(path)));
@@ -499,10 +505,13 @@ StatusOr<EdgeList> LoadBinaryEdgeList(const std::string& path) {
 StatusOr<Graph> LoadBinary(const std::string& path) {
   std::vector<EdgeCount> offsets;
   std::vector<VertexId> adj;
-  GPUTC_RETURN_IF_ERROR(ReadBinaryCsr(path, &offsets, &adj));
-  // Adopt the arrays as read: FromCsr runs CheckCsr and the linear
-  // canonical check, and a canonical CSR is already the Graph.
-  StatusOr<Graph> g = Graph::FromCsr(std::move(offsets), std::move(adj));
+  GPUTC_ASSIGN_OR_RETURN(const std::optional<GraphDigest> digest,
+                         ReadBinaryCsr(path, &offsets, &adj));
+  // Adopt the arrays as read: the FromCsr checks run (CheckCsr and the
+  // linear canonical check), a canonical CSR is already the Graph, and a v2
+  // file's verified section CRCs are already its digest.
+  StatusOr<Graph> g =
+      Graph::AdoptCsr(std::move(offsets), std::move(adj), digest);
   if (!g.ok()) return g.status().WithContext(BinaryContext(path));
   return g;
 }

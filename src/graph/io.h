@@ -80,10 +80,11 @@ bool SaveBinary(const Graph& g, const std::string& path);
 /// with offsets[n] == 2m, and every adjacency id must be in range. The CSR
 /// must be canonical: every row sorted strictly ascending (so no
 /// duplicates), no self loops, and symmetric. The arrays read are adopted
-/// as the Graph without a rebuild (Graph::FromCsr, a linear check); a
-/// non-canonical file is kDataLoss "not canonical", never silently sorted
-/// or reassembled. Use LoadBinaryEdgeList + GraphDoctor for repairable
-/// inputs.
+/// as the Graph without a rebuild (Graph::FromCsr's linear check), and a v2
+/// file's verified section CRCs become its digest() without a second pass;
+/// a v1 file is digested once. A non-canonical file is kDataLoss "not
+/// canonical", never silently sorted or reassembled. Use LoadBinaryEdgeList
+/// + GraphDoctor for repairable inputs.
 StatusOr<Graph> LoadBinary(const std::string& path);
 
 /// Binary loader that stops after structural validation and returns the raw

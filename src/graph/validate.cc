@@ -36,12 +36,6 @@ const char* FindingKindName(FindingKind kind) {
       return "unsorted-edges";
     case FindingKind::kEndpointOutOfRange:
       return "endpoint-out-of-range";
-    case FindingKind::kOffsetsNotMonotonic:
-      return "offsets-not-monotonic";
-    case FindingKind::kOffsetsBadBounds:
-      return "offsets-bad-bounds";
-    case FindingKind::kAdjacencyOutOfRange:
-      return "adjacency-out-of-range";
     case FindingKind::kAdjacencyUnsorted:
       return "adjacency-unsorted";
     case FindingKind::kAsymmetricAdjacency:
@@ -297,24 +291,8 @@ ValidationReport GraphDoctor::Examine(const Graph& g) const {
     AddFinding(report.findings, kind, 1, counts.message());
   }
 
-  const Status csr = CheckCsr(n, m, g.offsets(), g.adjacency());
-  if (!csr.ok()) {
-    // CheckCsr stops at the first structural defect; classify it by message
-    // prefix so doctor output stays precise.
-    FindingKind kind = FindingKind::kOffsetsBadBounds;
-    if (csr.message().find("not monotonic") != std::string::npos) {
-      kind = FindingKind::kOffsetsNotMonotonic;
-    } else if (csr.message().find("adjacency[") != std::string::npos) {
-      kind = FindingKind::kAdjacencyOutOfRange;
-    }
-    AddFinding(report.findings, kind, 1, csr.message());
-    return report;  // Row scans below would index out of bounds.
-  }
-
-  if (std::optional<Finding> defect =
-          FindNonCanonical(g.offsets(), g.adjacency())) {
-    report.findings.push_back(*std::move(defect));
-  }
+  // No CSR scan: a Graph passed CheckCsr and FindNonCanonical, or was built
+  // canonical, when it was constructed.
 
   // Wedge count bounds the triangle accumulator; warn before an int64 sum
   // could wrap. Accumulate in 128 bits so the check itself cannot overflow.

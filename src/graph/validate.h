@@ -24,9 +24,6 @@ enum class FindingKind {
   kUnsortedEdges,       // Edges not in canonical (u < v, sorted) order.
   // Structural (never repairable).
   kEndpointOutOfRange,  // Endpoint id >= declared vertex count.
-  kOffsetsNotMonotonic, // CSR offsets decrease somewhere.
-  kOffsetsBadBounds,    // offsets[0] != 0 or offsets[n] != adjacency size.
-  kAdjacencyOutOfRange, // CSR neighbor id >= vertex count.
   kAdjacencyUnsorted,   // A CSR row is not sorted by neighbor id.
   kAsymmetricAdjacency, // v in adj[u] but u not in adj[v].
   // Capacity (never repairable; caught before they become allocations).
@@ -35,7 +32,7 @@ enum class FindingKind {
   kTriangleOverflowRisk,// Wedge count could overflow the int64 triangle sum.
 };
 
-/// Stable identifier, e.g. "self-loop", "offsets-not-monotonic".
+/// Stable identifier, e.g. "self-loop", "asymmetric-adjacency".
 const char* FindingKindName(FindingKind kind);
 
 /// True if normalization (drop self loops, dedup, sort) removes the defect.
@@ -94,9 +91,10 @@ class GraphDoctor {
   /// endpoints beyond the declared universe, capacity overflows.
   ValidationReport Examine(const EdgeList& list) const;
 
-  /// Scans a built CSR graph: offset monotonicity/bounds, neighbor range,
-  /// then FindNonCanonical (row order, loops, duplicates, symmetry) and the
-  /// triangle-count overflow risk. Linear in n + m.
+  /// Checks what a built Graph's construction did not prove: its counts
+  /// against this doctor's caps (CheckCounts) and the triangle-count
+  /// overflow risk (a 128-bit wedge sum). The CSR itself is canonical by
+  /// construction, so its structure is not rescanned. Linear in n.
   ValidationReport Examine(const Graph& g) const;
 
   /// Raw-CSR check used by LoadBinary before a Graph exists. `offsets` must

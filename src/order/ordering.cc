@@ -33,13 +33,6 @@ std::string ToString(OrderingStrategy strategy) {
   return "unknown";
 }
 
-std::vector<OrderingStrategy> PaperOrderingStrategies() {
-  return {OrderingStrategy::kOriginal,  OrderingStrategy::kDegree,
-          OrderingStrategy::kDfs,       OrderingStrategy::kBfsR,
-          OrderingStrategy::kSlashBurn, OrderingStrategy::kGro,
-          OrderingStrategy::kAOrder};
-}
-
 namespace {
 
 /// Every strategy but A-order, whose packing also yields its Eq. 3 cost.

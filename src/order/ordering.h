@@ -31,9 +31,6 @@ enum class OrderingStrategy {
 /// "A-order", "DFS", "BFS-R", "SlashBurn", "GRO", "random").
 std::string ToString(OrderingStrategy strategy);
 
-/// The strategies compared in Tables 5 and 6, in column order.
-std::vector<OrderingStrategy> PaperOrderingStrategies();
-
 /// A computed ordering and its Eq. 3 cost.
 struct OrderingResult {
   Permutation perm;  // old id -> new id.

@@ -438,14 +438,10 @@ void BatchService::Process(int worker_index, QueuedRequest queued) {
   // request never started executing. A request whose base fingerprint is
   // already cached skips the preprocessing recompute, so it is admitted with
   // the smaller post-cache estimate — reserving the cold estimate would
-  // double-count the directed graph it never rebuilds. The graph is digested
-  // once here; execution keys every cache lookup from the same digest.
-  GraphDigest digest;
-  if (prep_cache_ != nullptr) digest = DigestGraph(*graph);
+  // double-count the directed graph it never rebuilds.
   const bool base_cached =
       prep_cache_ != nullptr &&
-      prep_cache_->Contains(
-          PrepFingerprint(*graph, digest, options_.spec, preprocess));
+      prep_cache_->Contains(PrepFingerprint(*graph, options_.spec, preprocess));
   const int64_t estimate = base_cached ? EstimateHostBytesCached(*graph)
                                        : EstimateHostBytes(*graph);
   admit_span.SetAttr("estimate_bytes", estimate);
@@ -532,7 +528,7 @@ void BatchService::Process(int worker_index, QueuedRequest queued) {
   ExecutionTrace trace;
   StatusOr<ExecutionResult> executed =
       ExecuteResilient(*graph, options_.spec, policy, allowed, preprocess,
-                       &trace, prep_cache_ != nullptr ? &digest : nullptr);
+                       &trace);
   exec_span.SetAttr("attempts", static_cast<int64_t>(trace.attempts.size()));
   if (!executed.ok()) exec_span.SetStatus(executed.status());
   exec_span.Finish();

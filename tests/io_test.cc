@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -11,6 +12,7 @@
 #include "graph/edge_list.h"
 #include "graph/generators.h"
 #include "graph/io.h"
+#include "util/durable_file.h"
 
 namespace gputc {
 namespace {
@@ -276,6 +278,84 @@ TEST(BinaryV2PropertyTest, RoundTripsBitIdenticallyOverCorpus) {
     std::remove(path.c_str());
     std::remove(resaved.c_str());
   }
+}
+
+// -- graph digest -------------------------------------------------------------
+//
+// Graph::digest() is set once, by whichever path built the graph, and keys
+// the prep cache. Each path must yield the CRC32Cs of the arrays the graph
+// holds, and copies and moves must carry them along.
+
+void ExpectDigestOfArrays(const Graph& g, const std::string& label) {
+  const GraphDigest want{
+      Crc32c(g.offsets().data(), g.offsets().size() * sizeof(EdgeCount)),
+      Crc32c(g.adjacency().data(), g.adjacency().size() * sizeof(VertexId))};
+  EXPECT_EQ(g.digest(), want) << label;
+  const Graph copy = g;
+  EXPECT_EQ(copy.digest(), want) << label << " (copy)";
+  Graph source = g;
+  const Graph moved = std::move(source);
+  EXPECT_EQ(moved.digest(), want) << label << " (move)";
+  Graph assigned;
+  assigned = moved;
+  EXPECT_EQ(assigned.digest(), want) << label << " (copy-assigned)";
+}
+
+/// Writes `g` in the legacy v1 layout: {magic, n, m}, offsets, adjacency.
+void WriteV1(const Graph& g, const std::string& path) {
+  const uint64_t header[3] = {0x43545550'47525048ull, g.num_vertices(),
+                              static_cast<uint64_t>(g.num_edges())};
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(header), sizeof(header));
+  out.write(reinterpret_cast<const char*>(g.offsets().data()),
+            static_cast<std::streamsize>(g.offsets().size() *
+                                         sizeof(EdgeCount)));
+  out.write(reinterpret_cast<const char*>(g.adjacency().data()),
+            static_cast<std::streamsize>(g.adjacency().size() *
+                                         sizeof(VertexId)));
+}
+
+TEST(GraphDigestTest, InMemoryConstructionsDigestTheirArrays) {
+  ExpectDigestOfArrays(Graph(), "default");
+  ExpectDigestOfArrays(Graph::FromEdgeList(EdgeList{}), "FromEdgeList(empty)");
+  ExpectDigestOfArrays(Graph::FromEdgeList(EdgeList(7)), "edgeless");
+  const Graph g = GenerateErdosRenyi(120, 500, /*seed=*/13);
+  ExpectDigestOfArrays(g, "FromEdgeList");
+  // The empty graph built either way is one CSR, so one digest.
+  EXPECT_EQ(Graph().digest(), Graph::FromEdgeList(EdgeList{}).digest());
+
+  StatusOr<Graph> adopted = Graph::FromCsr(g.offsets(), g.adjacency());
+  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
+  ExpectDigestOfArrays(*adopted, "FromCsr");
+  EXPECT_EQ(adopted->digest(), g.digest());
+}
+
+TEST(GraphDigestTest, LoadedGraphsDigestTheirArrays) {
+  const Graph g = GenerateErdosRenyi(120, 500, /*seed=*/13);
+
+  const std::string v2 = TempPath("digest_v2.bin");
+  ASSERT_TRUE(SaveBinaryDurable(g, v2).ok());
+  const StatusOr<Graph> from_v2 = LoadBinary(v2);
+  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
+  ExpectDigestOfArrays(*from_v2, "LoadBinary(v2)");
+  EXPECT_EQ(from_v2->digest(), g.digest());
+
+  const std::string v1 = TempPath("digest_v1.bin");
+  WriteV1(g, v1);
+  const StatusOr<Graph> from_v1 = LoadBinary(v1);
+  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
+  ExpectDigestOfArrays(*from_v1, "LoadBinary(v1)");
+  EXPECT_EQ(from_v1->digest(), g.digest());
+
+  const std::string text = TempPath("digest.txt");
+  ASSERT_TRUE(SaveSnapTextDurable(g, text).ok());
+  const StatusOr<Graph> from_text = LoadSnapText(text);
+  ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
+  ExpectDigestOfArrays(*from_text, "LoadSnapText");
+
+  std::remove(v2.c_str());
+  std::remove(v1.c_str());
+  std::remove(text.c_str());
 }
 
 }  // namespace

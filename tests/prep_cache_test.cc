@@ -29,6 +29,7 @@
 #include "graph/edge_list.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/io.h"
 #include "service/cache_store.h"
 #include "tc/cpu_counters.h"
 #include "tc/registry.h"
@@ -264,20 +265,30 @@ TEST(PrepFingerprintTest, StableForIdenticalInputs) {
   EXPECT_EQ(a.id.size(), 16u);
 }
 
-TEST(PrepFingerprintTest, PrecomputedDigestGivesTheSameKey) {
+// Tier-2 files are named and verified by the key, so the key's bytes are a
+// storage format: a change here orphans every artifact already on disk.
+TEST(PrepFingerprintTest, PinnedKeyForAFixedGraph) {
   const Graph g = GenerateErdosRenyi(100, 300, 3);
+  const PrepCacheKey key =
+      PrepFingerprint(g, DeviceSpec::TitanXpLike(), PreprocessOptions());
+  EXPECT_EQ(key.canonical,
+            "prep-cache v1|n=100|m=300|offcrc=3accbcd5|adjcrc=08feb1c4"
+            "|dir=A-direction|ord=A-order|bucket=256|sort=1|cal=1|seed=1"
+            "|dev=30,32,8,128,4,4,4,8,40,24,49152,3,1.3999999999999999");
+  EXPECT_EQ(key.id, "3df21309f50459ec");
+}
+
+// A graph loaded from its v2 file adopts the file's section CRCs as its
+// digest; they must key exactly like the in-memory graph that was saved.
+TEST(PrepFingerprintTest, BinaryCopyKeysLikeTheSavedGraph) {
+  const Graph g = GenerateErdosRenyi(100, 300, 3);
+  const std::string path = FreshDir("fp_bin") + "/g.bin";
+  ASSERT_TRUE(SaveBinaryDurable(g, path).ok());
+  const StatusOr<Graph> loaded = LoadBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const DeviceSpec spec = DeviceSpec::TitanXpLike();
-  const GraphDigest digest = DigestGraph(g);
-  PreprocessOptions options;
-  for (const OrderingStrategy ordering :
-       {OrderingStrategy::kAOrder, OrderingStrategy::kOriginal}) {
-    options.ordering = ordering;
-    const PrepCacheKey direct = PrepFingerprint(g, spec, options);
-    const PrepCacheKey digested = PrepFingerprint(g, digest, spec, options);
-    EXPECT_EQ(digested.canonical, direct.canonical);
-    EXPECT_EQ(digested.hash, direct.hash);
-    EXPECT_EQ(digested.id, direct.id);
-  }
+  EXPECT_EQ(PrepFingerprint(*loaded, spec, PreprocessOptions()).canonical,
+            PrepFingerprint(g, spec, PreprocessOptions()).canonical);
 }
 
 TEST(PrepFingerprintTest, EverySensitiveInputChangesTheKey) {
@@ -790,10 +801,9 @@ TEST(PrepCacheExecutorTest, DegradationRungsGetTheirOwnEntries) {
   EXPECT_TRUE(cache.Contains(PrepFingerprint(g, spec, no_aorder)));
   EXPECT_EQ(cache.stats().misses, 2);
 
-  // A caller-supplied digest resolves to the same entries: both hit.
-  const GraphDigest digest = DigestGraph(g);
-  ASSERT_TRUE(TryPreprocess(g, spec, base, ExecContext(), &digest).ok());
-  ASSERT_TRUE(TryPreprocess(g, spec, no_aorder, ExecContext(), &digest).ok());
+  // Repeating either rung resolves to its own entry: both hit.
+  ASSERT_TRUE(TryPreprocess(g, spec, base, ExecContext()).ok());
+  ASSERT_TRUE(TryPreprocess(g, spec, no_aorder, ExecContext()).ok());
   EXPECT_EQ(cache.stats().misses, 2);
   EXPECT_EQ(cache.stats().memory_hits, 2);
 }

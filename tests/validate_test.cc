@@ -144,6 +144,40 @@ TEST(GraphDoctorTest, ExamineGraphCleanOnLibraryOutput) {
   EXPECT_TRUE(report.clean()) << report.Summary();
 }
 
+// Construction proves the CSR canonical but not that it fits a doctor's
+// caps: Examine(const Graph&) still enforces them.
+TEST(GraphDoctorTest, ExamineGraphReportsCountsOverLoweredCaps) {
+  const Graph g = GenerateErdosRenyi(50, 120, /*seed=*/3);
+  ASSERT_EQ(g.num_vertices(), 50u);
+  ASSERT_EQ(g.num_edges(), 120);
+  {
+    GraphDoctor::Options caps;
+    caps.max_vertices = 49;
+    const ValidationReport report = GraphDoctor(caps).Examine(g);
+    ASSERT_EQ(report.findings.size(), 1u) << report.Summary();
+    EXPECT_NE(Get(report, FindingKind::kVertexCountOverflow)
+                  .detail.find("vertex count 50 exceeds the configured cap 49"),
+              std::string::npos);
+    EXPECT_EQ(report.ToStatus().code(), StatusCode::kDataLoss);
+  }
+  {
+    GraphDoctor::Options caps;
+    caps.max_edges = 119;
+    const ValidationReport report = GraphDoctor(caps).Examine(g);
+    ASSERT_EQ(report.findings.size(), 1u) << report.Summary();
+    EXPECT_NE(Get(report, FindingKind::kEdgeCountOverflow)
+                  .detail.find("edge count 120 exceeds the configured cap 119"),
+              std::string::npos);
+    EXPECT_EQ(report.ToStatus().code(), StatusCode::kDataLoss);
+  }
+  {
+    GraphDoctor::Options caps;
+    caps.max_vertices = 50;
+    caps.max_edges = 120;
+    EXPECT_TRUE(GraphDoctor(caps).Examine(g).clean());
+  }
+}
+
 // -- canonical-CSR check ----------------------------------------------------
 
 using Rows = std::vector<std::vector<VertexId>>;
